@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import AssumptionFailureError, GramSchmidtBreakdownError, RankDeficientError
-from .harness import ExperimentConfig, emit_csv, emit_plotdata, run
+from .harness import ExperimentConfig, emit_csv, emit_plotdata, run, trial_threads
 from .mmio import read_matrix_market
 
 _GEN_NAMES = {
@@ -80,7 +80,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             blocks = tuple(int(tok) for tok in args.blocks.split(",") if tok)
         except ValueError as exc:
             raise ValueError(f"cannot parse --blocks {args.blocks!r}") from exc
-    return ExperimentConfig(
+    config = ExperimentConfig(
         method=args.method,
         m=m,
         n=n,
@@ -93,6 +93,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         trials=args.trials,
         input_path=args.input,
     )
+    # Fail here, as a usage error, on what run() would otherwise raise.
+    config.partition()
+    trial_threads()
+    return config
 
 
 def main(argv=None) -> int:

@@ -63,7 +63,8 @@ def _power_iteration_norm(a: np.ndarray) -> float:
     """Largest singular value via power iteration on a^T a.
 
     Deterministic: starts from the constant unit vector.  Relative tolerance
-    1e-10, at most 10_000 iterations.
+    1e-10, at most 10_000 iterations.  Stops at the first non-finite iterate,
+    which a non-finite input produces at once.
     """
     n = a.shape[1]
     v = np.full((n, 1), 1.0 / math.sqrt(n), order="F")
@@ -71,6 +72,11 @@ def _power_iteration_norm(a: np.ndarray) -> float:
     for _ in range(_POWER_MAXITER):
         z = kernels.matmul(a.T, kernels.matmul(a, v))
         zn = kernels.vec_norm(z[:, 0])
+        if not math.isfinite(zn):
+            raise SpectralNormError(
+                "power iteration reached a non-finite iterate: the input is not "
+                "finite (or too large to square)"
+            )
         if zn == 0.0:
             return 0.0
         new_estimate = math.sqrt(zn)
@@ -103,7 +109,7 @@ def spectral_norm(a) -> float:
         except SpectralNormError as exc:
             raise SpectralNormError(
                 "SVD did not converge and the power-iteration fallback "
-                f"(tol={_POWER_TOL:g}, maxiter={_POWER_MAXITER}) also failed"
+                f"(tol={_POWER_TOL:g}, maxiter={_POWER_MAXITER}) also failed: {exc}"
             ) from exc
 
 

@@ -184,6 +184,15 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
     )
 
 
+def trial_threads() -> int:
+    """Trial parallelism from ``BGS_THREADS``: default 1, values below 1 mean 1."""
+    raw = os.environ.get(THREADS_ENV, "1") or "1"
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+
+
 def run(config: ExperimentConfig, verify_contracts: bool = False) -> list[ReportRow]:
     """Run every trial of a configuration; rows come back in trial order.
 
@@ -191,7 +200,7 @@ def run(config: ExperimentConfig, verify_contracts: bool = False) -> list[Report
     ``verify_contracts`` the defect and residual of each passing two-pass row
     are checked against their growth-function bounds.
     """
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1") or "1"))
+    threads = trial_threads()
     indices = range(config.trials)
     if threads == 1 or config.trials == 1:
         rows = [_run_trial(config, i) for i in indices]

@@ -5,6 +5,16 @@ ascending indices and start from the first term rather than from zero.  The
 two backends therefore produce bitwise-identical output, and repeated calls
 are reproducible run to run.
 
+The numba twins compile the scalar loops (``_matmul_fill``, ``_dot_py``,
+``_sumsq_py``, ``_householder_fill``), which stay plain Python and serve as
+the tests' bitwise oracle.  The numpy twins keep the same order with whole-
+array operations: the product is one rank-1 update per inner index (on
+column chunks of the output), and the dot products and norms are
+``np.add.accumulate``, which sums strictly left to right (in bounded row
+chunks for the Householder reflectors).  Pairwise or BLAS reductions
+(``np.sum``, ``add.reduce``, ``np.dot``, ``@``) round differently and are
+never used.
+
 The active backend is chosen once at import time: numba when it is
 importable, unless the environment variable ``BLOCKGS_PURE_NUMPY`` is set to
 ``1``/``true``/``yes``/``on``, in which case the pure-numpy twins are used.
@@ -59,15 +69,30 @@ def _matmul_fill(a, b, out):
                 out[i, j] += a[i, k] * bkj
 
 
+#: Entries per column chunk of the numpy product's output.  A chunk and its
+#: scratch buffer stay in cache through the K rank-1 updates; a whole tall
+#: output (2000x128) would not, and its scratch would double peak memory.
+_MATMUL_CHUNK = 1 << 15
+
+
 def _matmul_fill_numpy(a, b, out):
-    # Same per-entry operation sequence as _matmul_fill, vectorized over rows.
-    kk = a.shape[1]
-    n = b.shape[1]
-    for j in range(n):
-        acc = a[:, 0] * b[0, j]
-        for k in range(1, kk):
-            acc += a[:, k] * b[k, j]
-        out[:, j] = acc
+    # Same per-entry operation sequence as _matmul_fill, as one rank-1 update
+    # per inner index k (ascending): every entry gets the same rounded
+    # product added in the same order, but the loop runs K times per column
+    # chunk, not n*K times.
+    m, n = out.shape
+    width = max(1, _MATMUL_CHUNK // m)
+    np.multiply(a[:, :1], b[:1, :], out=out)
+    if a.shape[1] == 1:
+        return
+    tmp = np.empty((m, min(width, n)), order="F")
+    for lo in range(0, n, width):
+        chunk = out[:, lo : lo + width]
+        scratch = tmp[:, : chunk.shape[1]]
+        # a_k is column k of a as m-by-1, b_k row k of b's chunk as 1-by-width.
+        for a_k, b_k in zip(a.T[1:, :, None], b[1:, None, lo : lo + width]):
+            np.multiply(a_k, b_k, out=scratch)
+            chunk += scratch
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +112,18 @@ def _sumsq_py(x):
     for i in range(1, x.shape[0]):
         acc += x[i] * x[i]
     return acc
+
+
+# numpy twins of the two loops above: add.accumulate sums strictly left to
+# right (np.sum would sum pairwise; see the module docstring).
+
+
+def _dot_numpy(x, y):
+    return np.add.accumulate(x * y)[-1]
+
+
+def _sumsq_numpy(x):
+    return np.add.accumulate(x * x)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +172,33 @@ def _householder_fill(r, q, v, beta):
                 q[i, col] -= v[i, j] * tau
 
 
+#: Rows per chunk in the numpy twin's reflector products; bounds the
+#: temporary to _ROW_CHUNK x (panel width) entries.
+_ROW_CHUNK = 256
+
+
+def _weighted_row_sum_numpy(x, y):
+    # sum_i x[i] * y[i, :] over ascending rows, seeded with the i=0 term: the
+    # order of the scalar `w` loops.  Each row chunk is summed with
+    # add.accumulate along axis 0, after the running sum is added into the
+    # chunk's first row (blk[0] += w is the same IEEE addition as w += blk[0]).
+    w = None
+    for lo in range(0, x.shape[0], _ROW_CHUNK):
+        hi = lo + _ROW_CHUNK
+        blk = x[lo:hi, None] * y[lo:hi]
+        if w is not None:
+            blk[0] += w
+        np.add.accumulate(blk, axis=0, out=blk)
+        w = blk[-1].copy()  # a view would keep the chunk alive
+    return w
+
+
 def _householder_fill_numpy(r, q, v, beta):
-    # Twin of _householder_fill: reflector dot products accumulate row by row
-    # (ascending), vectorized across the trailing columns.
-    m, p = r.shape
+    # Twin of _householder_fill: the norms and reflector dot products
+    # accumulate over ascending rows, vectorized across the trailing columns.
+    p = r.shape[1]
     for j in range(p):
-        acc = r[j, j] * r[j, j]
-        for i in range(j + 1, m):
-            acc += r[i, j] * r[i, j]
-        normx = np.sqrt(acc)
+        normx = np.sqrt(_sumsq_numpy(r[j:, j]))
         if normx == 0.0:
             v[j:, j] = 0.0
             beta[j] = 0.0
@@ -151,18 +206,11 @@ def _householder_fill_numpy(r, q, v, beta):
         s = 1.0 if r[j, j] >= 0.0 else -1.0
         v[j + 1 :, j] = r[j + 1 :, j]
         v[j, j] = r[j, j] + s * normx
-        acc2 = v[j, j] * v[j, j]
-        for i in range(j + 1, m):
-            acc2 += v[i, j] * v[i, j]
-        beta[j] = 2.0 / acc2
-        w = v[j, j] * r[j, j:]
-        for i in range(j + 1, m):
-            w += v[i, j] * r[i, j:]
+        beta[j] = 2.0 / _sumsq_numpy(v[j:, j])
+        w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:])
         r[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
     for j in range(p - 1, -1, -1):
-        w = v[j, j] * q[j, :]
-        for i in range(j + 1, m):
-            w += v[i, j] * q[i, :]
+        w = _weighted_row_sum_numpy(v[j:, j], q[j:, :])
         q[j:, :] -= np.multiply.outer(v[j:, j], beta[j] * w)
 
 
@@ -182,8 +230,8 @@ else:  # pragma: no cover
     _householder_fill_numba = None
 
 _matmul_active = _matmul_fill_numba if NUMBA_ACTIVE else _matmul_fill_numpy
-_dot_active = _dot_numba if NUMBA_ACTIVE else _dot_py
-_sumsq_active = _sumsq_numba if NUMBA_ACTIVE else _sumsq_py
+_dot_active = _dot_numba if NUMBA_ACTIVE else _dot_numpy
+_sumsq_active = _sumsq_numba if NUMBA_ACTIVE else _sumsq_numpy
 _householder_active = _householder_fill_numba if NUMBA_ACTIVE else _householder_fill_numpy
 
 

@@ -106,3 +106,24 @@ def test_block_flag_for_column_method_rejected(tmp_path, capsys):
 def test_missing_sizes_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["--method", "cgs", "--gen", "svd", "--csv", str(tmp_path / "o.csv")])
+
+
+def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BGS_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "cgs", "--m", "10", "--n", "4",
+            "--gen", "svd", "--csv", str(tmp_path / "out.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "BGS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_zero_block_width_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "bcgs2", "--m", "10", "--n", "4", "--block", "0",
+            "--gen", "svd", "--csv", str(tmp_path / "out.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "width >= 1" in capsys.readouterr().err

@@ -72,6 +72,16 @@ class TestSpectralNorm:
         expected = np.linalg.svd(a, compute_uv=False)[0]
         assert bg.spectral_norm(a) == pytest.approx(expected, rel=1e-6)
 
+    def test_non_finite_input_fails_fast(self):
+        a = bg.gen_svd_spectrum(50, 10, kappa=10.0, seed=0)
+        a[3, 4] = np.nan
+        with pytest.raises(bg.SpectralNormError, match="non-finite iterate"):
+            _power_iteration_norm(a)
+        with pytest.raises(bg.SpectralNormError, match="input is not finite"):
+            bg.spectral_norm(a)
+        with pytest.raises(bg.SpectralNormError, match="input is not finite"):
+            bg.bcgs2(a, bg.BlockPartition.uniform(10, 4))
+
 
 class TestOrthogonalityDefect:
     def test_identity(self):

@@ -120,6 +120,123 @@ def test_householder_backend_parity(rng, shape):
     assert r1.tobytes() == r2.tobytes()
 
 
+# The scalar sources are plain Python until numba compiles them, so they serve
+# as a bitwise oracle for the numpy twins whether or not numba is installed.
+
+
+def _fortran(rng, shape):
+    return np.asfortranarray(rng.standard_normal(shape))
+
+
+MATMUL_CHUNK = kernels._MATMUL_CHUNK
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, 3, 2),
+        (40, 17, 8),
+        (63, 1, 1),
+        (1, 1, 1),
+        (9, 1, 7),
+        (12, 6, 1),
+        (1, 8, 5),
+        (MATMUL_CHUNK // 8, 3, 17),  # column chunks of 8, 8 and 1
+        (MATMUL_CHUNK + 1, 2, 2),  # column chunks of one column
+    ],
+)
+def test_matmul_numpy_matches_scalar_source(rng, shape):
+    m, k, n = shape
+    a = _fortran(rng, (m, k))
+    b = _fortran(rng, (k, n))
+    expected = _run_fill(kernels._matmul_fill, a, b)
+    assert _run_fill(kernels._matmul_fill_numpy, a, b).tobytes() == expected.tobytes()
+
+
+def test_matmul_numpy_matches_scalar_source_on_transposed_views(rng):
+    u = _fortran(rng, (30, 7))
+    b = _fortran(rng, (30, 4))
+    for left, right in [(u.T, b), (u, u.T), (u.T, u), (b.T, u)]:
+        assert left.flags.c_contiguous or right.flags.c_contiguous
+        expected = _run_fill(kernels._matmul_fill, left, right)
+        got = _run_fill(kernels._matmul_fill_numpy, left, right)
+        assert got.tobytes() == expected.tobytes()
+
+
+def _cancelling_vector(length):
+    # A huge leading term followed by ones: left-to-right summation loses
+    # every one, pairwise summation keeps them, so the order shows.
+    x = np.ones(length)
+    x[0] = 2.0**53
+    return x
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 1000])
+def test_dot_and_sumsq_numpy_match_scalar_source(rng, length):
+    x = rng.standard_normal(length)
+    y = rng.standard_normal(length)
+    assert kernels._dot_numpy(x, y) == kernels._dot_py(x, y)
+    assert kernels._sumsq_numpy(x) == kernels._sumsq_py(x)
+    assert kernels.dot(x, y) == kernels._dot_py(x, y)
+    assert kernels.vec_norm(x) == np.sqrt(kernels._sumsq_py(x))
+
+
+def test_dot_numpy_keeps_left_to_right_order():
+    x = _cancelling_vector(1000)
+    y = np.ones(1000)
+    assert np.sum(x * y) != kernels._dot_py(x, y)
+    assert kernels._dot_numpy(x, y) == kernels._dot_py(x, y) == 2.0**53
+    assert kernels._sumsq_numpy(np.sqrt(x)) == kernels._sumsq_py(np.sqrt(x))
+
+
+def _assert_householder_matches_scalar_source(b):
+    q1, r1 = _run_householder(kernels._householder_fill, b)
+    q2, r2 = _run_householder(kernels._householder_fill_numpy, b)
+    assert q2.tobytes() == q1.tobytes()
+    assert r2.tobytes() == r1.tobytes()
+
+
+ROW_CHUNK = kernels._ROW_CHUNK
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (6, 4),
+        (25, 10),
+        (50, 1),
+        (12, 12),
+        (1, 1),
+        (ROW_CHUNK - 1, 3),
+        (ROW_CHUNK, 3),
+        (ROW_CHUNK + 1, 3),
+        (2 * ROW_CHUNK + 1, 3),
+    ],
+)
+def test_householder_numpy_matches_scalar_source(rng, shape):
+    _assert_householder_matches_scalar_source(_fortran(rng, shape))
+
+
+@pytest.mark.parametrize("zero_col", [0, 2, 4])
+def test_householder_numpy_matches_scalar_source_on_zero_column(rng, zero_col):
+    b = _fortran(rng, (9, 5))
+    b[:, zero_col] = 0.0
+    _assert_householder_matches_scalar_source(b)
+    _, r = _run_householder(kernels._householder_fill_numpy, b)
+    assert r[zero_col, zero_col] == 0.0
+
+
+def test_householder_numpy_keeps_row_order_across_chunks():
+    # The first reflector is all ones below its head and column 1 is one huge
+    # entry followed by ones, so the reflector product for column 1 is a
+    # cancelling sum over three chunks: only a strictly ascending row sum,
+    # carried across chunks, drops every one.
+    m = 2 * ROW_CHUNK + 1
+    b = np.ones((m, 2), order="F")
+    b[:, 1] = _cancelling_vector(m)
+    _assert_householder_matches_scalar_source(b)
+
+
 def test_householder_orthonormal_and_reconstructs(rng):
     b = np.asfortranarray(rng.standard_normal((30, 8)))
     q, r = kernels.householder_qr(b)
