@@ -2,9 +2,11 @@
 
 Times the pure-numpy twin of each hot kernel on the ROADMAP shapes: the
 products 500x240 @ 240x16 (Q S), 240x500 @ 500x16 (Q^T B, a transposed view)
-and 2000x64 @ 64x64, the Householder panel QR of a 2000x128 panel, and the
-norm of a 2000-entry column.  When numba is importable the numba twin is
-timed next to it and must agree with the numpy twin byte for byte.
+and 2000x64 @ 64x64, the width-1 products of a column step (u.T b with a
+200x64 u and a 200x1 b, and u s with a 64x1 s), the Householder panel QR of
+a 2000x128 panel, and the norm of a 2000-entry column.  When numba is
+importable the numba twin is timed next to it and must agree with the numpy
+twin byte for byte.
 
 Before timing, each numpy twin is compared byte for byte with its scalar
 source (``_matmul_fill``, ``_householder_fill``, ``_sumsq_py``), which is plain
@@ -75,6 +77,8 @@ def cases(rng):
         (500, 240, 16, False),
         (240, 500, 16, True),
         (2000, 64, 64, False),
+        (64, 200, 1, True),
+        (200, 64, 1, False),
     ]:
         out.append((
             f"matmul {m}x{k} @ {k}x{n}" + (" (u.T)" if transposed else ""),

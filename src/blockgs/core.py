@@ -96,9 +96,11 @@ def spectral_norm(a) -> float:
     Uses a full SVD at desk scale; for matrices with min(m, n) > 512 it
     switches to power iteration on a^T a so diagnostics stay cheap.  If the
     SVD fails to converge the power-iteration fallback is attempted before
-    giving up.
+    giving up.  A nan or inf entry raises :class:`SpectralNormError` at once.
     """
     a = as_matrix(a)
+    if not np.isfinite(a).all():
+        raise SpectralNormError("the input is not finite: it has a nan or inf entry")
     if min(a.shape) > POWER_ITERATION_THRESHOLD:
         return _power_iteration_norm(a)
     try:
@@ -113,15 +115,35 @@ def spectral_norm(a) -> float:
             ) from exc
 
 
-def orthogonality_defect(q) -> float:
-    """Spectral-norm distance of q^T q from the identity."""
+def orthogonality_defect(q, gram=None, known: int = 0) -> float:
+    """Spectral-norm distance of q^T q from the identity.
+
+    For an m-by-n ``q`` the Gram matrix is built in ``gram``, an n-by-n (or
+    larger) work array, which the call allocates when none is given.  When
+    its leading ``known``-by-``known`` block already holds the Gram matrix of
+    ``q[:, :known]``, only the border ``q^T q[:, known:]`` is computed and
+    written into columns ``known:n``, and its top rows are mirrored into rows
+    ``known:n``.  Each entry is the same ascending-row sum as in the full
+    product (IEEE products commute), so a driver that passes one work array
+    and the previous block's column count gets its running defect bitwise
+    equal to the full recomputation at O(m n) work per new column.
+    """
     q = as_matrix(q)
-    if q.shape[0] < q.shape[1]:
-        raise ValueError(
-            f"orthogonality defect needs rows >= cols, got {q.shape[0]}x{q.shape[1]}"
-        )
-    gram = kernels.matmul(q.T, q)
-    d = np.asfortranarray(np.eye(q.shape[1]) - gram)
+    m, n = q.shape
+    if m < n:
+        raise ValueError(f"orthogonality defect needs rows >= cols, got {m}x{n}")
+    if not 0 <= known < n:
+        raise ValueError(f"known columns must be in [0, {n}), got {known}")
+    if gram is None:
+        if known:
+            raise ValueError("known columns need the gram array that holds them")
+        gram = np.empty((n, n), order="F")
+    elif gram.shape[0] < n or gram.shape[1] < n:
+        raise ValueError(f"gram array {gram.shape} is smaller than {n}x{n}")
+    gram[:n, known:n] = kernels.matmul(q.T, q[:, known:])
+    gram[known:n, :known] = gram[:known, known:n].T
+    # I - G, not -(G - I): negation would flip the sign of exact zeros.
+    d = np.asfortranarray(np.eye(n) - gram[:n, :n])
     return spectral_norm(d)
 
 

@@ -7,6 +7,13 @@ plus one audit record per block (norms, inverse norms of the diagonal blocks,
 running orthogonality defect) so the stability checks can run afterwards
 without refactoring.
 
+The running defect is a bordered Gram update: each driver keeps one n-by-n
+work array, and at each block :func:`orthogonality_defect` adds only the new
+border ``Q[:, :hi]^T Q[:, lo:hi]`` to the Gram matrix of the earlier columns.
+The audit thus costs O(m n^2) in all, plus one SVD of ``I - G`` per block,
+instead of O(m n^3 / p) for a fresh ``Q^T Q`` at every block, and its values
+are bitwise those of the fresh product.
+
 Drivers record and never abort on a failed stability check; they only raise
 on hard numerical breakdown (rank-deficient panels, zero remainders).
 """
@@ -114,6 +121,7 @@ def bcgs2(a, blocks) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
+    gram = np.empty((n, n), order="F")
     records = []
     for k, (lo, hi) in enumerate(blocks.column_spans(), start=1):
         panel = a[:, lo:hi]
@@ -145,7 +153,7 @@ def bcgs2(a, blocks) -> FactorizationTrace:
                 block_norm=spectral_norm(panel),
                 rkk_inv_norm=_triangular_inverse_norm(r_diag),
                 r2_inv_norm=r2_inv_norm,
-                defect=orthogonality_defect(q[:, :hi]),
+                defect=orthogonality_defect(q[:, :hi], gram, lo),
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
@@ -163,6 +171,7 @@ def cgs2(a) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
+    gram = np.empty((n, n), order="F")
     records = []
 
     r00 = kernels.vec_norm(a[:, 0])
@@ -178,7 +187,7 @@ def cgs2(a) -> FactorizationTrace:
             block_norm=r00,
             rkk_inv_norm=1.0 / r00,
             r2_inv_norm=None,
-            defect=orthogonality_defect(q[:, :1]),
+            defect=orthogonality_defect(q[:, :1], gram),
         )
     )
     for k in range(2, n + 1):
@@ -198,7 +207,7 @@ def cgs2(a) -> FactorizationTrace:
                 block_norm=kernels.vec_norm(col[:, 0]),
                 rkk_inv_norm=1.0 / step.r_b,
                 r2_inv_norm=1.0 / step.r2,
-                defect=orthogonality_defect(q[:, :k]),
+                defect=orthogonality_defect(q[:, :k], gram, k - 1),
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
@@ -211,6 +220,7 @@ def cgs(a) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
+    gram = np.empty((n, n), order="F")
     records = []
 
     r00 = kernels.vec_norm(a[:, 0])
@@ -219,7 +229,7 @@ def cgs(a) -> FactorizationTrace:
     q[:, 0] = a[:, 0] / r00
     r[0, 0] = r00
     records.append(
-        BlockRecord(1, 0, 1, r00, 1.0 / r00, None, orthogonality_defect(q[:, :1]))
+        BlockRecord(1, 0, 1, r00, 1.0 / r00, None, orthogonality_defect(q[:, :1], gram))
     )
     for k in range(2, n + 1):
         col = a[:, k - 1 : k]
@@ -240,7 +250,7 @@ def cgs(a) -> FactorizationTrace:
                 block_norm=kernels.vec_norm(col[:, 0]),
                 rkk_inv_norm=1.0 / rkk,
                 r2_inv_norm=None,
-                defect=orthogonality_defect(q[:, :k]),
+                defect=orthogonality_defect(q[:, :k], gram, k - 1),
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
@@ -253,6 +263,7 @@ def mgs(a) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
+    gram = np.empty((n, n), order="F")
     records = []
     for k in range(1, n + 1):
         v = np.array(a[:, k - 1 : k], order="F", copy=True)
@@ -275,7 +286,7 @@ def mgs(a) -> FactorizationTrace:
                 block_norm=kernels.vec_norm(a[:, k - 1]),
                 rkk_inv_norm=1.0 / rkk,
                 r2_inv_norm=None,
-                defect=orthogonality_defect(q[:, :k]),
+                defect=orthogonality_defect(q[:, :k], gram, k - 1),
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
@@ -289,6 +300,7 @@ def bcgs(a, blocks) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
+    gram = np.empty((n, n), order="F")
     records = []
     for k, (lo, hi) in enumerate(blocks.column_spans(), start=1):
         panel = a[:, lo:hi]
@@ -314,7 +326,7 @@ def bcgs(a, blocks) -> FactorizationTrace:
                 block_norm=spectral_norm(panel),
                 rkk_inv_norm=_triangular_inverse_norm(r_diag),
                 r2_inv_norm=None,
-                defect=orthogonality_defect(q[:, :hi]),
+                defect=orthogonality_defect(q[:, :hi], gram, lo),
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))

@@ -25,7 +25,11 @@ class GramSchmidtBreakdownError(BlockGsError):
 
 
 class SpectralNormError(BlockGsError):
-    """Neither the SVD nor the power-iteration fallback converged."""
+    """A spectral norm could not be taken.
+
+    Raised when the input has a nan or inf entry, or when neither the SVD
+    nor the power-iteration fallback converged.
+    """
 
 
 class AssumptionFailureError(BlockGsError):

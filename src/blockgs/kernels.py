@@ -9,11 +9,12 @@ The numba twins compile the scalar loops (``_matmul_fill``, ``_dot_py``,
 ``_sumsq_py``, ``_householder_fill``), which stay plain Python and serve as
 the tests' bitwise oracle.  The numpy twins keep the same order with whole-
 array operations: the product is one rank-1 update per inner index (on
-column chunks of the output), and the dot products and norms are
-``np.add.accumulate``, which sums strictly left to right (in bounded row
-chunks for the Householder reflectors).  Pairwise or BLAS reductions
-(``np.sum``, ``add.reduce``, ``np.dot``, ``@``) round differently and are
-never used.
+column chunks of the output), or one accumulate along the rows of
+``a * b[:, 0]`` when the output is a short column, and the dot products and
+norms are ``np.add.accumulate``, which sums strictly left to right (in
+bounded row chunks for the Householder reflectors).  Pairwise or BLAS
+reductions (``np.sum``, ``add.reduce``, ``np.dot``, ``@``) round differently
+and are never used.
 
 The active backend is chosen once at import time: numba when it is
 importable, unless the environment variable ``BLOCKGS_PURE_NUMPY`` is set to
@@ -74,6 +75,13 @@ def _matmul_fill(a, b, out):
 #: output (2000x128) would not, and its scratch would double peak memory.
 _MATMUL_CHUNK = 1 << 15
 
+#: Most output rows for which the numpy product sums a width-1 output with
+#: one accumulate.  An accumulate adds one term at a time per row, while a
+#: rank-1 update adds a whole column at once, so tall outputs keep the
+#: rank-1 loop (the two cost the same at 400 to 600 rows).  The 2000x64
+#: by 64x1 products of a width-1 block at m=2000 are on the tall side.
+_MATVEC_MAX_ROWS = 512
+
 
 def _matmul_fill_numpy(a, b, out):
     # Same per-entry operation sequence as _matmul_fill, as one rank-1 update
@@ -81,9 +89,19 @@ def _matmul_fill_numpy(a, b, out):
     # product added in the same order, but the loop runs K times per column
     # chunk, not n*K times.
     m, n = out.shape
+    kk = a.shape[1]
+    if n == 1 and m <= _MATVEC_MAX_ROWS:
+        # Matrix-vector product: each entry is its row of a * b[:, 0] summed
+        # by add.accumulate, left to right from the k=0 product, one
+        # accumulate per row chunk instead of K rank-1 updates.
+        rows = max(1, _MATMUL_CHUNK // kk)
+        for lo in range(0, m, rows):
+            terms = a[lo : lo + rows] * b[:, 0]
+            out[lo : lo + rows, 0] = np.add.accumulate(terms, axis=1)[:, -1]
+        return
     width = max(1, _MATMUL_CHUNK // m)
     np.multiply(a[:, :1], b[:1, :], out=out)
-    if a.shape[1] == 1:
+    if kk == 1:
         return
     tmp = np.empty((m, min(width, n)), order="F")
     for lo in range(0, n, width):

@@ -9,6 +9,7 @@ path coincide bitwise with direct normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import kernels
 from .bounds import l1
 from .core import MACHINE_UNIT, as_matrix, spectral_norm
-from .errors import RankDeficientError
+from .errors import RankDeficientError, SpectralNormError
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ def local_qr(b) -> LocalQrResult:
     RankDeficientError
         If any diagonal of r is at most m * eps * |b|, i.e. the panel is not
         numerically of full column rank.
+    SpectralNormError
+        If the panel has a nan or inf entry.
     ValueError
         If the panel is wider than tall, or so large that the roundoff bound
         eps * l1_bound(m, p) reaches 1 and the contract is meaningless.
@@ -61,9 +64,15 @@ def local_qr(b) -> LocalQrResult:
 
     if p == 1:
         r_scalar = kernels.vec_norm(b[:, 0])
+        # A norm that overflows on finite entries is left to the rank test.
+        if not math.isfinite(r_scalar) and not np.isfinite(b).all():
+            raise SpectralNormError(
+                "the input is not finite: it has a nan or inf entry "
+                f"(column norm {r_scalar:g})"
+            )
         if not r_scalar > m * MACHINE_UNIT * r_scalar:
             raise RankDeficientError(
-                f"zero column: norm {r_scalar:g} fails the rank test",
+                f"column norm {r_scalar:g} fails the rank test",
                 index=0,
                 magnitude=r_scalar,
             )

@@ -115,6 +115,13 @@ class TestBcgs2:
             assert tr.per_block[-1].defect <= 1e-13
             assert bg.relative_residual(a, tr.factorization) <= 1e-13
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_in_first_block_fails_fast(self, bad):
+        a = bg.gen_svd_spectrum(50, 10, kappa=10.0, seed=0)
+        a[3, 1] = bad
+        with pytest.raises(bg.SpectralNormError, match="input is not finite"):
+            bg.bcgs2(a, bg.BlockPartition.uniform(10, 4))
+
     def test_all_ones_partition_matches_cgs2_bitwise(self):
         a = bg.gen_svd_spectrum(40, 12, kappa=1e6, seed=8)
         tr_block = bg.bcgs2(a, bg.BlockPartition.ones(12))
@@ -177,3 +184,48 @@ class TestFactorizationTrace:
     def test_wide_input_rejected(self, rng):
         with pytest.raises(ValueError):
             bg.cgs2(rng.standard_normal((3, 5)))
+
+
+def _assert_running_defect_is_fresh(tr):
+    # The bordered Gram update must reproduce the from-scratch defect of
+    # every prefix byte for byte, both through the one-argument call and
+    # spelled out as |I - Q^T Q|.
+    hi = 0
+    for rec in tr.per_block:
+        hi += rec.width
+        q = tr.q[:, :hi]
+        spelled_out = bg.spectral_norm(np.eye(hi) - bg.matmul(q.T, q))
+        for fresh in (bg.orthogonality_defect(q), spelled_out):
+            assert np.float64(rec.defect).tobytes() == np.float64(fresh).tobytes()
+
+
+_GRADED = bg.gen_svd_spectrum(60, 10, kappa=1e8, seed=21)
+_ORTHONORMAL = np.asfortranarray(
+    np.linalg.qr(np.random.default_rng(22).standard_normal((30, 10)))[0]
+)
+# Exact-zero Gram entries (orthonormal, identity) make the sign of zero in
+# I - G matter.
+_AUDIT_INPUTS = [_GRADED, _ORTHONORMAL, np.eye(10)]
+_AUDIT_IDS = ["graded", "orthonormal", "identity"]
+
+
+@pytest.mark.parametrize("a", _AUDIT_INPUTS, ids=_AUDIT_IDS)
+@pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs"])
+def test_running_defect_matches_fresh_defect_columnwise(a, method):
+    _assert_running_defect_is_fresh(getattr(bg, method)(a))
+
+
+@pytest.mark.parametrize("a", _AUDIT_INPUTS, ids=_AUDIT_IDS)
+@pytest.mark.parametrize(
+    "part",
+    [
+        bg.BlockPartition.uniform(10, 4),
+        bg.BlockPartition((3, 5, 2)),
+        bg.BlockPartition.ones(10),
+        bg.BlockPartition.single(10),
+    ],
+    ids=["uniform", "uneven", "ones", "single"],
+)
+@pytest.mark.parametrize("method", ["bcgs", "bcgs2"])
+def test_running_defect_matches_fresh_defect_blockwise(a, part, method):
+    _assert_running_defect_is_fresh(getattr(bg, method)(a, part))

@@ -129,6 +129,7 @@ def _fortran(rng, shape):
 
 
 MATMUL_CHUNK = kernels._MATMUL_CHUNK
+MATVEC_MAX_ROWS = kernels._MATVEC_MAX_ROWS
 
 
 @pytest.mark.parametrize(
@@ -143,6 +144,14 @@ MATMUL_CHUNK = kernels._MATMUL_CHUNK
         (1, 8, 5),
         (MATMUL_CHUNK // 8, 3, 17),  # column chunks of 8, 8 and 1
         (MATMUL_CHUNK + 1, 2, 2),  # column chunks of one column
+        # width-1 outputs: one accumulate per row chunk of the terms
+        (7, 2, 1),
+        (40, 200, 1),
+        (MATMUL_CHUNK // 200 - 1, 200, 1),
+        (MATMUL_CHUNK // 200, 200, 1),  # one full row chunk
+        (MATMUL_CHUNK // 200 + 1, 200, 1),  # a second chunk of one row
+        (MATVEC_MAX_ROWS, 3, 1),
+        (MATVEC_MAX_ROWS + 1, 3, 1),  # tall: back to rank-1 updates
     ],
 )
 def test_matmul_numpy_matches_scalar_source(rng, shape):
@@ -153,22 +162,36 @@ def test_matmul_numpy_matches_scalar_source(rng, shape):
     assert _run_fill(kernels._matmul_fill_numpy, a, b).tobytes() == expected.tobytes()
 
 
-def test_matmul_numpy_matches_scalar_source_on_transposed_views(rng):
-    u = _fortran(rng, (30, 7))
-    b = _fortran(rng, (30, 4))
-    for left, right in [(u.T, b), (u, u.T), (u.T, u), (b.T, u)]:
-        assert left.flags.c_contiguous or right.flags.c_contiguous
-        expected = _run_fill(kernels._matmul_fill, left, right)
-        got = _run_fill(kernels._matmul_fill_numpy, left, right)
-        assert got.tobytes() == expected.tobytes()
-
-
 def _cancelling_vector(length):
     # A huge leading term followed by ones: left-to-right summation loses
     # every one, pairwise summation keeps them, so the order shows.
     x = np.ones(length)
     x[0] = 2.0**53
     return x
+
+
+def test_matmul_numpy_matches_scalar_source_on_transposed_views(rng):
+    u = _fortran(rng, (30, 7))
+    b = _fortran(rng, (30, 4))
+    wide = _fortran(rng, (200, 9))
+    # Every row of the C-ordered left operand is a cancelling sum.
+    cancel = np.asfortranarray(np.tile(_cancelling_vector(200)[:, None], (1, 5)))
+    ones = np.ones((200, 1), order="F")
+    assert np.sum(cancel.T * ones[:, 0], axis=1)[0] != 2.0**53
+    for left, right in [
+        (u.T, b),
+        (u, u.T),
+        (u.T, u),
+        (b.T, u),
+        (u.T, b[:, :1]),
+        (wide.T, ones),
+        (cancel.T, ones),
+    ]:
+        assert left.flags.c_contiguous or right.flags.c_contiguous
+        expected = _run_fill(kernels._matmul_fill, left, right)
+        got = _run_fill(kernels._matmul_fill_numpy, left, right)
+        assert got.tobytes() == expected.tobytes()
+    assert np.all(expected == 2.0**53)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 1000])

@@ -85,6 +85,23 @@ def test_dependent_columns_raise_with_diagnostics(rng):
     assert "rank deficient" in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("width", [1, 4])
+def test_non_finite_panel_is_not_called_rank_deficient(rng, bad, width):
+    b = np.asfortranarray(rng.standard_normal((12, width)))
+    b[5, width - 1] = bad
+    with pytest.raises(bg.SpectralNormError, match="input is not finite"):
+        bg.local_qr(b)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_finite_panel_with_overflowing_norm_fails_the_rank_test(rng, width):
+    b = np.asfortranarray(rng.standard_normal((12, width)) * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RankDeficientError):
+            bg.local_qr(b)
+
+
 def test_wide_panel_rejected():
     with pytest.raises(ValueError):
         bg.local_qr(np.ones((2, 3)))
