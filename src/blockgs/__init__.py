@@ -55,7 +55,7 @@ from .harness import (
     verify_report_contracts,
 )
 from .kernels import backend
-from .localqr import LocalQrResult, l1_bound, local_qr
+from .localqr import LocalQrResult, local_qr
 from .mmio import read_matrix_market, write_matrix_market
 from .steps import BlockStepResult, Cgs2StepResult, block_cgs2_step, block_cgs_step, cgs2_step
 
@@ -99,7 +99,6 @@ __all__ = [
     "gen_lauchli",
     "gen_svd_spectrum",
     "l1",
-    "l1_bound",
     "l2",
     "l3",
     "l4",

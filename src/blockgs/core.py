@@ -43,6 +43,19 @@ def as_matrix(a, *, require_finite: bool = False) -> np.ndarray:
     return out
 
 
+def _require_finite(a: np.ndarray) -> None:
+    """Raise :class:`SpectralNormError` naming the first nan or inf entry.
+
+    Entries are searched in column-major order and named by 0-based
+    ``[row, column]``; a finite matrix costs one ``isfinite`` pass.
+    """
+    if not np.isfinite(a).all():
+        j, i = np.argwhere(~np.isfinite(a.T))[0]
+        raise SpectralNormError(
+            f"the input is not finite: entry [{i}, {j}] is {a[i, j]}"
+        )
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with a fixed, run-to-run deterministic summation order.
 
@@ -99,8 +112,7 @@ def spectral_norm(a) -> float:
     giving up.  A nan or inf entry raises :class:`SpectralNormError` at once.
     """
     a = as_matrix(a)
-    if not np.isfinite(a).all():
-        raise SpectralNormError("the input is not finite: it has a nan or inf entry")
+    _require_finite(a)
     if min(a.shape) > POWER_ITERATION_THRESHOLD:
         return _power_iteration_norm(a)
     try:

@@ -36,6 +36,7 @@ METHODS = ("cgs", "mgs", "cgs2", "bcgs", "bcgs2", "householder")
 GENERATORS = ("svd-spectrum", "lauchli", "hilbert-like", "file")
 POLICIES = ("strict", "warn")
 
+_DRIVERS = {"cgs": cgs, "mgs": mgs, "cgs2": cgs2, "bcgs": bcgs, "bcgs2": bcgs2}
 _BLOCK_METHODS = {"bcgs", "bcgs2"}
 _CHECKED_METHODS = {"cgs2", "bcgs2"}
 
@@ -137,16 +138,8 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
         factorization = QRFactorization(res.q, res.r)
         trace = None
     else:
-        if config.method == "cgs":
-            trace = cgs(a)
-        elif config.method == "mgs":
-            trace = mgs(a)
-        elif config.method == "cgs2":
-            trace = cgs2(a)
-        elif config.method == "bcgs":
-            trace = bcgs(a, part)
-        else:
-            trace = bcgs2(a, part)
+        driver = _DRIVERS[config.method]
+        trace = driver(a, part) if config.method in _BLOCK_METHODS else driver(a)
         factorization = trace.factorization
     wall = time.perf_counter() - start
 

@@ -2,22 +2,21 @@
 
 ``local_qr`` is the factorization primitive every block step is built on.
 Its contract: the returned q is near left-orthogonal and q @ r reproduces the
-panel, both to machine precision scaled by the growth function ``l1_bound``.
+panel, both to machine precision scaled by the growth function ``bounds.l1``.
 The returned r always has a nonnegative diagonal, which makes the width-1
 path coincide bitwise with direct normalization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .bounds import l1
-from .core import MACHINE_UNIT, as_matrix, spectral_norm
-from .errors import RankDeficientError, SpectralNormError
+from .core import MACHINE_UNIT, _require_finite, as_matrix, spectral_norm
+from .errors import RankDeficientError
 
 
 @dataclass(frozen=True)
@@ -26,11 +25,6 @@ class LocalQrResult:
 
     q: np.ndarray
     r: np.ndarray
-
-
-def l1_bound(m: int, p: int, d1: float = 1.0) -> float:
-    """Growth function of the panel QR contract; see :func:`blockgs.bounds.l1`."""
-    return l1(m, p, d1)
 
 
 def local_qr(b) -> LocalQrResult:
@@ -47,29 +41,24 @@ def local_qr(b) -> LocalQrResult:
         If any diagonal of r is at most m * eps * |b|, i.e. the panel is not
         numerically of full column rank.
     SpectralNormError
-        If the panel has a nan or inf entry.
+        If the panel has a nan or inf entry; checked before any arithmetic.
     ValueError
         If the panel is wider than tall, or so large that the roundoff bound
-        eps * l1_bound(m, p) reaches 1 and the contract is meaningless.
+        eps * l1(m, p) reaches 1 and the contract is meaningless.
     """
     b = as_matrix(b)
     m, p = b.shape
     if m < p:
         raise ValueError(f"panel must be at least as tall as wide, got {m}x{p}")
-    if MACHINE_UNIT * l1_bound(m, p) >= 1.0:
+    if MACHINE_UNIT * l1(m, p) >= 1.0:
         raise ValueError(
-            f"panel size {m}x{p} too large: eps * l1_bound = "
-            f"{MACHINE_UNIT * l1_bound(m, p):g} >= 1"
+            f"panel size {m}x{p} too large: eps * l1 = {MACHINE_UNIT * l1(m, p):g} >= 1"
         )
+    _require_finite(b)
 
     if p == 1:
         r_scalar = kernels.vec_norm(b[:, 0])
-        # A norm that overflows on finite entries is left to the rank test.
-        if not math.isfinite(r_scalar) and not np.isfinite(b).all():
-            raise SpectralNormError(
-                "the input is not finite: it has a nan or inf entry "
-                f"(column norm {r_scalar:g})"
-            )
+        # A norm that overflows on finite entries fails the rank test.
         if not r_scalar > m * MACHINE_UNIT * r_scalar:
             raise RankDeficientError(
                 f"column norm {r_scalar:g} fails the rank test",

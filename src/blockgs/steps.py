@@ -5,9 +5,13 @@ and returns the orthonormalized panel together with the coefficients that
 express ``b`` in terms of the enlarged basis, so that
 ``b = u @ s + q @ r`` up to roundoff.
 
-The scalar step and the width-1 block step execute the same floating-point
-operations, which makes the column-at-a-time driver a strict special case of
-the block driver.
+The drivers' one block loop takes a step that returns a
+:class:`BlockStepResult`: ``bcgs2`` uses :func:`block_cgs2_step`, ``bcgs``
+and ``cgs`` use :func:`block_cgs_step`, and ``cgs2`` uses :func:`cgs2_step`
+with its result recast.  The scalar step and the width-1 block step are
+separate code but execute the same floating-point operations, so ``cgs2``
+and ``bcgs2`` with the all-ones partition agree bitwise by computation, not
+by sharing code.
 """
 
 from __future__ import annotations

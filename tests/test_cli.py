@@ -111,6 +111,22 @@ def test_overflowing_column_norm_exits_1(tmp_path, capsys, method):
     assert "numerical breakdown: block 1: column norm inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs"])
+def test_overflowing_column_norm_exits_1_column_methods(tmp_path, capsys, method):
+    # The first column goes through the panel factorization's rank test.
+    a = np.random.default_rng(0).standard_normal((8, 3))
+    a[:, 0] *= 1e200
+    mtx = tmp_path / "big.mtx"
+    bg.write_matrix_market(mtx, a)
+    with np.errstate(over="ignore"):
+        code = main([
+            "--method", method, "--gen", "file", "--input", str(mtx),
+            "--csv", str(tmp_path / "out.csv"),
+        ])
+    assert code == 1
+    assert "numerical breakdown: column 1: column norm inf" in capsys.readouterr().err
+
+
 def test_block_flag_for_column_method_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main([

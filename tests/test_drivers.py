@@ -1,5 +1,7 @@
 """Driver tests: full factorizations, traces, induction contracts, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,54 @@ def test_running_defect_matches_fresh_defect_columnwise(a, method):
 @pytest.mark.parametrize("method", ["bcgs", "bcgs2"])
 def test_running_defect_matches_fresh_defect_blockwise(a, part, method):
     _assert_running_defect_is_fresh(getattr(bg, method)(a, part))
+
+
+def _assert_traces_equal_bitwise(tr, other):
+    assert tr.q.tobytes() == other.q.tobytes()
+    assert tr.r.tobytes() == other.r.tobytes()
+    assert len(tr.per_block) == len(other.per_block)
+    for rec, rec_other in zip(tr.per_block, other.per_block):
+        for field in dataclasses.fields(rec):
+            x, y = getattr(rec, field.name), getattr(rec_other, field.name)
+            if x is None or y is None:
+                assert x is y, field.name
+            else:
+                assert np.float64(x).tobytes() == np.float64(y).tobytes(), field.name
+
+
+@pytest.mark.parametrize(
+    "a", _AUDIT_INPUTS + [bg.gen_lauchli(8, 1e-7)], ids=_AUDIT_IDS + ["lauchli"]
+)
+@pytest.mark.parametrize("column, block", [("cgs", "bcgs"), ("cgs2", "bcgs2")])
+def test_column_driver_is_block_driver_with_ones_partition(a, column, block):
+    # Records included: width-1 blocks take the column norm, not an SVD.
+    ones = bg.BlockPartition.ones(a.shape[1])
+    _assert_traces_equal_bitwise(getattr(bg, column)(a), getattr(bg, block)(a, ones))
+
+
+@pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs"])
+def test_zero_first_column_is_rank_deficient(method):
+    a = np.asfortranarray(np.eye(4)[:, :3])
+    a[:, 0] = 0.0
+    with pytest.raises(RankDeficientError, match="column 1: column norm 0"):
+        getattr(bg, method)(a)
+
+
+@pytest.mark.parametrize("method", ["cgs", "mgs"])
+def test_zero_later_column_is_rank_deficient(method):
+    a = np.asfortranarray(np.eye(4)[:, :3])
+    a[:, 2] = 0.0
+    with pytest.raises(RankDeficientError, match="column 3: column norm 0"):
+        getattr(bg, method)(a)
+
+
+@pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs", "bcgs", "bcgs2"])
+def test_non_finite_entry_in_later_block_fails_before_arithmetic(method):
+    # Under errstate(all="raise"), any arithmetic on the inf would raise
+    # FloatingPointError before the finiteness check.
+    a = bg.gen_svd_spectrum(50, 10, kappa=10.0, seed=0)
+    a[7, 8] = np.inf
+    blocks = (bg.BlockPartition.uniform(10, 4),) if method.startswith("b") else ()
+    with np.errstate(all="raise"):
+        with pytest.raises(bg.SpectralNormError, match=r"not finite: entry \[7, 8\] is inf"):
+            getattr(bg, method)(a, *blocks)

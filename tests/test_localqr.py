@@ -52,7 +52,7 @@ def test_contract_corpus():
         m = int(rng.integers(max(p, 10), 501))
         b = rng.standard_normal((m, p))
         res = bg.local_qr(b)
-        bound = 10.0 * bg.MACHINE_UNIT * bg.l1_bound(m, p)
+        bound = 10.0 * bg.MACHINE_UNIT * bg.l1(m, p)
         norm_b = bg.spectral_norm(b)
         assert bg.spectral_norm(b - bg.matmul(res.q, res.r)) <= bound * norm_b
         assert bg.orthogonality_defect(res.q) <= bound
@@ -95,6 +95,17 @@ def test_non_finite_panel_is_not_called_rank_deficient(rng, bad, width):
 
 
 @pytest.mark.parametrize("width", [1, 4])
+def test_non_finite_entry_fails_before_arithmetic(rng, width):
+    # Under errstate(all="raise"), any arithmetic on the inf would raise
+    # FloatingPointError before the finiteness check.
+    b = np.asfortranarray(rng.standard_normal((12, width)))
+    b[9, width - 1] = np.inf
+    with np.errstate(all="raise"):
+        with pytest.raises(bg.SpectralNormError, match=rf"entry \[9, {width - 1}\] is inf"):
+            bg.local_qr(b)
+
+
+@pytest.mark.parametrize("width", [1, 4])
 def test_finite_panel_with_overflowing_norm_fails_the_rank_test(rng, width):
     b = np.asfortranarray(rng.standard_normal((12, width)) * 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -109,14 +120,14 @@ def test_wide_panel_rejected():
 
 class TestL1Bound:
     def test_width_one_closed_form(self):
-        assert bg.l1_bound(10, 1) == 14.0
+        assert bg.l1(10, 1) == 14.0
 
     def test_general_closed_form(self):
-        assert bg.l1_bound(8, 4) == 64.0
+        assert bg.l1(8, 4) == 64.0
 
     def test_minimum_size(self):
-        assert bg.l1_bound(1, 1) == 5.0
+        assert bg.l1(1, 1) == 5.0
 
     def test_d1_scales_general_but_not_width_one(self):
-        assert bg.l1_bound(8, 4, d1=2.0) == 128.0
-        assert bg.l1_bound(8, 1, d1=2.0) == 12.0
+        assert bg.l1(8, 4, d1=2.0) == 128.0
+        assert bg.l1(8, 1, d1=2.0) == 12.0
