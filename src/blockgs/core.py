@@ -3,12 +3,12 @@
 Matrices are plain 2-D float64 numpy arrays held in column-major (Fortran)
 order, since every routine in the package consumes column panels.  The
 helpers here enforce that convention at API boundaries and provide the
-spectral-norm based diagnostics the stability statements are expressed in.
+spectral-norm based diagnostics the stability statements are expressed in;
+every spectral norm is the largest singular value from a full SVD.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,13 +19,6 @@ from .errors import SpectralNormError
 
 #: Unit roundoff of IEEE binary64.
 MACHINE_UNIT = 2.0**-53
-
-#: Matrices with min(m, n) above this use power iteration instead of a full
-#: SVD for the spectral norm.
-POWER_ITERATION_THRESHOLD = 512
-
-_POWER_TOL = 1e-10
-_POWER_MAXITER = 10_000
 
 
 def as_matrix(a, *, require_finite: bool = False) -> np.ndarray:
@@ -72,59 +65,18 @@ def matmul(a, b) -> np.ndarray:
     return kernels.matmul(a, b)
 
 
-def _power_iteration_norm(a: np.ndarray) -> float:
-    """Largest singular value via power iteration on a^T a.
-
-    Deterministic: starts from the constant unit vector.  Relative tolerance
-    1e-10, at most 10_000 iterations.  Stops at the first non-finite iterate,
-    which a non-finite input produces at once.
-    """
-    n = a.shape[1]
-    v = np.full((n, 1), 1.0 / math.sqrt(n), order="F")
-    estimate = 0.0
-    for _ in range(_POWER_MAXITER):
-        z = kernels.matmul(a.T, kernels.matmul(a, v))
-        zn = kernels.vec_norm(z[:, 0])
-        if not math.isfinite(zn):
-            raise SpectralNormError(
-                "power iteration reached a non-finite iterate: the input is not "
-                "finite (or too large to square)"
-            )
-        if zn == 0.0:
-            return 0.0
-        new_estimate = math.sqrt(zn)
-        if abs(new_estimate - estimate) <= _POWER_TOL * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-        v = z / zn
-    raise SpectralNormError(
-        f"power iteration did not reach relative tolerance {_POWER_TOL:g} "
-        f"within {_POWER_MAXITER} iterations"
-    )
-
-
 def spectral_norm(a) -> float:
-    """Largest singular value of ``a``.
+    """Largest singular value of ``a``, from a full SVD.
 
-    Uses a full SVD at desk scale; for matrices with min(m, n) > 512 it
-    switches to power iteration on a^T a so diagnostics stay cheap.  If the
-    SVD fails to converge the power-iteration fallback is attempted before
-    giving up.  A nan or inf entry raises :class:`SpectralNormError` at once.
+    A nan or inf entry raises :class:`SpectralNormError` at once, as does an
+    SVD that fails to converge.
     """
     a = as_matrix(a)
     _require_finite(a)
-    if min(a.shape) > POWER_ITERATION_THRESHOLD:
-        return _power_iteration_norm(a)
     try:
         return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError:
-        try:
-            return _power_iteration_norm(a)
-        except SpectralNormError as exc:
-            raise SpectralNormError(
-                "SVD did not converge and the power-iteration fallback "
-                f"(tol={_POWER_TOL:g}, maxiter={_POWER_MAXITER}) also failed: {exc}"
-            ) from exc
+    except np.linalg.LinAlgError as exc:
+        raise SpectralNormError(f"SVD did not converge: {exc}") from exc
 
 
 def orthogonality_defect(q, gram=None, known: int = 0) -> float:

@@ -27,8 +27,8 @@ class GramSchmidtBreakdownError(BlockGsError):
 class SpectralNormError(BlockGsError):
     """A spectral norm could not be taken.
 
-    Raised when the input has a nan or inf entry, or when neither the SVD
-    nor the power-iteration fallback converged.
+    Raised when the input has a nan or inf entry, or when the SVD did not
+    converge.
     """
 
 

@@ -68,8 +68,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got m={self.m}, n={self.n}")
-        if self.kappa < 1.0:
+        if not self.kappa >= 1.0:  # also rejects nan
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        if self.generator == "lauchli" and math.isinf(self.kappa):
+            raise ValueError(
+                "the lauchli generator needs a finite kappa (its perturbation "
+                "is 1/kappa), got inf"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         has_blocking = self.block_width is not None or self.blocks is not None
@@ -81,6 +86,21 @@ class ExperimentConfig:
             raise ValueError("give either a block width or an explicit partition")
         if self.generator == "file" and self.input_path is None:
             raise ValueError("the file generator needs an input path")
+        if self.method in _CHECKED_METHODS and has_blocking:
+            # The stability checks evaluate block k at t = (k - 1) * p, p the
+            # widest block, and the growth functions need m >= t + p there.
+            if self.blocks is not None:
+                part = BlockPartition(self.blocks)
+            else:
+                part = BlockPartition.uniform(self.n, self.block_width)
+            need = part.count * part.max_width
+            if need > self.m:
+                raise ValueError(
+                    f"the stability checks of {self.method} on partition "
+                    f"{part.widths} ({part.count} blocks, widest {part.max_width}) "
+                    f"need m >= {part.count} * {part.max_width} = {need}, "
+                    f"got m={self.m}"
+                )
 
     def partition(self) -> BlockPartition | None:
         if self.blocks is not None:

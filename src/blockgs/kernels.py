@@ -1,53 +1,28 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-numpy twin.
+"""Hot numeric kernels with a fixed floating-point operation order.
 
-Every kernel fixes its floating-point operation order: accumulations run over
-ascending indices and start from the first term rather than from zero.  The
-two backends therefore produce bitwise-identical output, and repeated calls
-are reproducible run to run.
+Accumulations run over ascending indices and start from the first term
+rather than from zero, so repeated calls are reproducible run to run and
+bitwise equal to the plain scalar loops the tests keep as an oracle.
 
-The numba twins compile the scalar loops (``_matmul_fill``, ``_dot_py``,
-``_sumsq_py``, ``_householder_fill``), which stay plain Python and serve as
-the tests' bitwise oracle.  The numpy twins keep the same order with whole-
-array operations: the product is one rank-1 update per inner index (on
-column chunks of the output), or one accumulate along the rows of
-``a * b[:, 0]`` when the output is a short column, and the dot products and
-norms are ``np.add.accumulate``, which sums strictly left to right (in
-bounded row chunks for the Householder reflectors).  Pairwise or BLAS
-reductions (``np.sum``, ``add.reduce``, ``np.dot``, ``@``) round differently
-and are never used.
-
-The active backend is chosen once at import time: numba when it is
-importable, unless the environment variable ``BLOCKGS_PURE_NUMPY`` is set to
-``1``/``true``/``yes``/``on``, in which case the pure-numpy twins are used.
+The kernels keep that order with whole-array numpy operations: the product
+is one rank-1 update per inner index (on column chunks of the output), or
+one accumulate along the rows of ``a * b[:, 0]`` when the output is a short
+column, and the dot products and norms are ``np.add.accumulate``, which sums
+strictly left to right (in bounded row chunks for the Householder
+reflectors).  Pairwise or BLAS reductions (``np.sum``, ``add.reduce``,
+``np.dot``, ``@``) round differently and are never used.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-PURE_NUMPY_ENV = "BLOCKGS_PURE_NUMPY"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _flag_enabled(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_ACTIVE = _HAVE_NUMBA and not _flag_enabled(PURE_NUMPY_ENV)
-
 
 def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ACTIVE else "numpy"
+    """Name of the kernel implementation: always ``"numpy"``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -55,28 +30,13 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _matmul_fill(a, b, out):
-    # out[i, j] = sum_k a[i, k] * b[k, j], k ascending, seeded with the k=0
-    # term so that a width-1 product is a bare multiplication.
-    m, kk = a.shape
-    n = b.shape[1]
-    for j in range(n):
-        b0j = b[0, j]
-        for i in range(m):
-            out[i, j] = a[i, 0] * b0j
-        for k in range(1, kk):
-            bkj = b[k, j]
-            for i in range(m):
-                out[i, j] += a[i, k] * bkj
-
-
-#: Entries per column chunk of the numpy product's output.  A chunk and its
+#: Entries per column chunk of the product's output.  A chunk and its
 #: scratch buffer stay in cache through the K rank-1 updates; a whole tall
 #: output (2000x128) would not, and its scratch would double peak memory.
 _MATMUL_CHUNK = 1 << 15
 
-#: Most output rows for which the numpy product sums a width-1 output with
-#: one accumulate.  An accumulate adds one term at a time per row, while a
+#: Most output rows for which the product sums a width-1 output with one
+#: accumulate.  An accumulate adds one term at a time per row, while a
 #: rank-1 update adds a whole column at once, so tall outputs keep the
 #: rank-1 loop (the two cost the same at 400 to 600 rows).  The 2000x64
 #: by 64x1 products of a width-1 block at m=2000 are on the tall side.
@@ -84,10 +44,11 @@ _MATVEC_MAX_ROWS = 512
 
 
 def _matmul_fill_numpy(a, b, out):
-    # Same per-entry operation sequence as _matmul_fill, as one rank-1 update
-    # per inner index k (ascending): every entry gets the same rounded
-    # product added in the same order, but the loop runs K times per column
-    # chunk, not n*K times.
+    # out[i, j] = sum_k a[i, k] * b[k, j], k ascending, seeded with the k=0
+    # term so that a width-1 product is a bare multiplication.  The order is
+    # that of a scalar loop over (j, i, k), as one rank-1 update per inner
+    # index k: every entry gets the same rounded product added in the same
+    # order, but the loop runs K times per column chunk, not n*K times.
     m, n = out.shape
     kk = a.shape[1]
     if n == 1 and m <= _MATVEC_MAX_ROWS:
@@ -118,24 +79,6 @@ def _matmul_fill_numpy(a, b, out):
 # ---------------------------------------------------------------------------
 
 
-def _dot_py(x, y):
-    acc = x[0] * y[0]
-    for i in range(1, x.shape[0]):
-        acc += x[i] * y[i]
-    return acc
-
-
-def _sumsq_py(x):
-    acc = x[0] * x[0]
-    for i in range(1, x.shape[0]):
-        acc += x[i] * x[i]
-    return acc
-
-
-# numpy twins of the two loops above: add.accumulate sums strictly left to
-# right (np.sum would sum pairwise; see the module docstring).
-
-
 def _dot_numpy(x, y):
     return np.add.accumulate(x * y)[-1]
 
@@ -149,57 +92,17 @@ def _sumsq_numpy(x):
 # ---------------------------------------------------------------------------
 
 
-def _householder_fill(r, q, v, beta):
-    # r: working copy of the panel, overwritten with the triangular factor.
-    # q: identity panel on entry, explicit orthonormal factor on exit.
-    # v, beta: scratch for the reflectors (unnormalized) and their 2/v^T v
-    # scale factors; this formulation stays exact on integer-valued panels.
-    m, p = r.shape
-    for j in range(p):
-        acc = r[j, j] * r[j, j]
-        for i in range(j + 1, m):
-            acc += r[i, j] * r[i, j]
-        normx = np.sqrt(acc)
-        if normx == 0.0:
-            for i in range(j, m):
-                v[i, j] = 0.0
-            beta[j] = 0.0
-            continue
-        s = 1.0 if r[j, j] >= 0.0 else -1.0
-        v[j, j] = r[j, j] + s * normx
-        for i in range(j + 1, m):
-            v[i, j] = r[i, j]
-        acc2 = v[j, j] * v[j, j]
-        for i in range(j + 1, m):
-            acc2 += v[i, j] * v[i, j]
-        beta[j] = 2.0 / acc2
-        for col in range(j, p):
-            w = v[j, j] * r[j, col]
-            for i in range(j + 1, m):
-                w += v[i, j] * r[i, col]
-            tau = beta[j] * w
-            for i in range(j, m):
-                r[i, col] -= v[i, j] * tau
-    for j in range(p - 1, -1, -1):
-        for col in range(p):
-            w = v[j, j] * q[j, col]
-            for i in range(j + 1, m):
-                w += v[i, j] * q[i, col]
-            tau = beta[j] * w
-            for i in range(j, m):
-                q[i, col] -= v[i, j] * tau
-
-
-#: Rows per chunk in the numpy twin's reflector products; bounds the
-#: temporary to _ROW_CHUNK x (panel width) entries.
+#: Rows per chunk in the reflector products; bounds the temporary to
+#: _ROW_CHUNK x (panel width) entries.
 _ROW_CHUNK = 256
 
 
 def _weighted_row_sum_numpy(x, y):
     # sum_i x[i] * y[i, :] over ascending rows, seeded with the i=0 term: the
-    # order of the scalar `w` loops.  Each row chunk is summed with
-    # add.accumulate along axis 0, after the running sum is added into the
-    # chunk's first row (blk[0] += w is the same IEEE addition as w += blk[0]).
+    # order of a scalar `w += x[i] * y[i, col]` loop.  Each row chunk is
+    # summed with add.accumulate along axis 0, after the running sum is added
+    # into the chunk's first row (blk[0] += w is the same IEEE addition as
+    # w += blk[0]).
     w = None
     for lo in range(0, x.shape[0], _ROW_CHUNK):
         hi = lo + _ROW_CHUNK
@@ -212,8 +115,12 @@ def _weighted_row_sum_numpy(x, y):
 
 
 def _householder_fill_numpy(r, q, v, beta):
-    # Twin of _householder_fill: the norms and reflector dot products
-    # accumulate over ascending rows, vectorized across the trailing columns.
+    # r: working copy of the panel, overwritten with the triangular factor.
+    # q: identity panel on entry, explicit orthonormal factor on exit.
+    # v, beta: scratch for the reflectors (unnormalized) and their 2/v^T v
+    # scale factors; this formulation stays exact on integer-valued panels.
+    # The norms and reflector dot products accumulate over ascending rows,
+    # vectorized across the trailing columns.
     p = r.shape[1]
     for j in range(p):
         normx = np.sqrt(_sumsq_numpy(r[j:, j]))
@@ -232,27 +139,6 @@ def _householder_fill_numpy(r, q, v, beta):
         q[j:, :] -= np.multiply.outer(v[j:, j], beta[j] * w)
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    _matmul_fill_numba = njit(cache=True, nogil=True)(_matmul_fill)
-    _dot_numba = njit(cache=True, nogil=True)(_dot_py)
-    _sumsq_numba = njit(cache=True, nogil=True)(_sumsq_py)
-    _householder_fill_numba = njit(cache=True, nogil=True)(_householder_fill)
-else:  # pragma: no cover
-    _matmul_fill_numba = None
-    _dot_numba = None
-    _sumsq_numba = None
-    _householder_fill_numba = None
-
-_matmul_active = _matmul_fill_numba if NUMBA_ACTIVE else _matmul_fill_numpy
-_dot_active = _dot_numba if NUMBA_ACTIVE else _dot_numpy
-_sumsq_active = _sumsq_numba if NUMBA_ACTIVE else _sumsq_numpy
-_householder_active = _householder_fill_numba if NUMBA_ACTIVE else _householder_fill_numpy
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic product a @ b with ascending-index accumulation.
 
@@ -260,20 +146,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Shape validation lives in :mod:`blockgs.core`; this is the raw kernel.
     """
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64, order="F")
-    _matmul_active(a, b, out)
+    _matmul_fill_numpy(a, b, out)
     return out
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """Ascending-index dot product of two 1-D float64 arrays."""
-    return float(_dot_active(x, y))
+    return float(_dot_numpy(x, y))
 
 
 def vec_norm(x: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 array, ascending-index sum of squares."""
     if x.shape[0] == 0:
         return 0.0
-    return math.sqrt(_sumsq_active(x))
+    return math.sqrt(_sumsq_numpy(x))
 
 
 def householder_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +175,7 @@ def householder_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.asfortranarray(np.eye(m, p))
     v = np.zeros((m, p), dtype=np.float64, order="F")
     beta = np.zeros(p, dtype=np.float64)
-    _householder_active(rwork, q, v, beta)
+    _householder_fill_numpy(rwork, q, v, beta)
     r = np.asfortranarray(np.triu(rwork[:p, :p]))
     return q, r
 
-
-def both_backends_available() -> bool:
-    """True when the numba twins exist alongside the numpy ones."""
-    return _HAVE_NUMBA

@@ -159,3 +159,33 @@ def test_zero_block_width_is_usage_error(tmp_path, capsys):
         ])
     assert exc.value.code == 2
     assert "width >= 1" in capsys.readouterr().err
+
+
+def test_partition_wider_than_stability_checks_allow_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "bcgs2", "--m", "100", "--n", "100", "--block", "16",
+            "--csv", str(csv),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "partition (16, 16, 16, 16, 16, 16, 4)" in err and "got m=100" in err
+    assert "Traceback" not in err and not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--m", "10", "--n", "5", "--kappa", "nan"], "kappa must be >= 1, got nan"),
+        (["--n", "5", "--gen", "lauchli", "--kappa", "inf"],
+         "lauchli generator needs a finite kappa"),
+    ],
+)
+def test_non_finite_kappa_is_usage_error(tmp_path, capsys, args, message):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", "cgs", *args, "--csv", str(csv)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not csv.exists()

@@ -41,6 +41,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(trials=0)
 
+    def test_rejects_non_finite_kappa(self):
+        with pytest.raises(ValueError, match="kappa must be >= 1, got nan"):
+            _config(kappa=float("nan"))
+        with pytest.raises(ValueError, match="lauchli generator needs a finite kappa"):
+            _config(method="cgs", block_width=None, generator="lauchli",
+                    m=6, n=5, kappa=float("inf"))
+        # The svd-spectrum generator takes an infinite kappa as before.
+        assert _config(kappa=float("inf")).kappa == float("inf")
+
+    def test_rejects_partition_wider_than_stability_checks_allow(self):
+        # Block k is checked at t = (k - 1) * 16, so 7 blocks need m >= 112.
+        with pytest.raises(
+            ValueError,
+            match=r"partition \(16, 16, 16, 16, 16, 16, 4\).*m >= 7 \* 16 = 112, got m=100",
+        ):
+            _config(m=100, n=100, block_width=16)
+        with pytest.raises(ValueError, match=r"\(1, 1, 1, 1, 1, 1, 2, 2\).*got m=12"):
+            _config(m=12, n=10, block_width=None, blocks=(1, 1, 1, 1, 1, 1, 2, 2))
+        # bcgs has no stability checks and factors the same matrices.
+        assert len(bg.run(_config(method="bcgs", m=100, n=100, block_width=16,
+                                  trials=1))) == 1
+
+    def test_partition_at_the_stability_check_limit_runs(self):
+        # 6 blocks of width up to 2 need exactly m = 12.
+        cfg = _config(m=12, n=10, block_width=None, blocks=(1, 1, 2, 2, 2, 2),
+                      kappa=10.0, trials=1)
+        (row,) = bg.run(cfg)
+        assert (row.m, row.n, row.p) == (12, 10, 2)
+
     def test_explicit_partition(self):
         cfg = _config(block_width=None, blocks=(8, 4, 4))
         assert cfg.partition().widths == (8, 4, 4)
