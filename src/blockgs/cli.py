@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 when a stability check fails under the strict
-policy, 1 on hard numerical breakdown (rank-deficient panel or a vanished
-remainder).
+policy, 1 on hard numerical breakdown (rank-deficient panel, a vanished
+remainder, or an SVD that does not converge).
 """
 
 from __future__ import annotations
@@ -10,8 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AssumptionFailureError, GramSchmidtBreakdownError, RankDeficientError
-from .harness import ExperimentConfig, emit_csv, emit_plotdata, run, trial_threads
+from .errors import (
+    AssumptionFailureError,
+    GramSchmidtBreakdownError,
+    RankDeficientError,
+    SpectralNormError,
+)
+from .harness import ExperimentConfig, emit_csv, emit_plotdata, run
 from .mmio import read_matrix_market
 
 _GEN_NAMES = {
@@ -95,7 +100,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     # Fail here, as a usage error, on what run() would otherwise raise.
     config.partition()
-    trial_threads()
     return config
 
 
@@ -112,7 +116,7 @@ def main(argv=None) -> int:
     except AssumptionFailureError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return 2
-    except (RankDeficientError, GramSchmidtBreakdownError) as exc:
+    except (RankDeficientError, GramSchmidtBreakdownError, SpectralNormError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 1
 

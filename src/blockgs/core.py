@@ -79,35 +79,20 @@ def spectral_norm(a) -> float:
         raise SpectralNormError(f"SVD did not converge: {exc}") from exc
 
 
-def orthogonality_defect(q, gram=None, known: int = 0) -> float:
-    """Spectral-norm distance of q^T q from the identity.
+def orthogonality_defect(q) -> float:
+    """Spectral-norm distance of q^T q from the identity, ``|I - Q^T Q|``.
 
-    For an m-by-n ``q`` the Gram matrix is built in ``gram``, an n-by-n (or
-    larger) work array, which the call allocates when none is given.  When
-    its leading ``known``-by-``known`` block already holds the Gram matrix of
-    ``q[:, :known]``, only the border ``q^T q[:, known:]`` is computed and
-    written into columns ``known:n``, and its top rows are mirrored into rows
-    ``known:n``.  Each entry is the same ascending-row sum as in the full
-    product (IEEE products commute), so a driver that passes one work array
-    and the previous block's column count gets its running defect bitwise
-    equal to the full recomputation at O(m n) work per new column.
+    The Gram matrix is the fixed-order product ``kernels.matmul(q.T, q)``,
+    so the value reproduces bitwise; the drivers call this once, on the
+    finished ``Q``.
     """
     q = as_matrix(q)
     m, n = q.shape
     if m < n:
         raise ValueError(f"orthogonality defect needs rows >= cols, got {m}x{n}")
-    if not 0 <= known < n:
-        raise ValueError(f"known columns must be in [0, {n}), got {known}")
-    if gram is None:
-        if known:
-            raise ValueError("known columns need the gram array that holds them")
-        gram = np.empty((n, n), order="F")
-    elif gram.shape[0] < n or gram.shape[1] < n:
-        raise ValueError(f"gram array {gram.shape} is smaller than {n}x{n}")
-    gram[:n, known:n] = kernels.matmul(q.T, q[:, known:])
-    gram[known:n, :known] = gram[:known, known:n].T
+    gram = kernels.matmul(q.T, q)
     # I - G, not -(G - I): negation would flip the sign of exact zeros.
-    d = np.asfortranarray(np.eye(n) - gram[:n, :n])
+    d = np.asfortranarray(np.eye(n) - gram)
     return spectral_norm(d)
 
 

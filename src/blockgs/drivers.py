@@ -3,9 +3,9 @@
 Two-pass methods (``cgs2``, ``bcgs2``) are the product of this package; the
 one-pass baselines (``cgs``, ``mgs``, ``bcgs``) exist for loss-of-orthogonality
 comparisons.  Every driver returns a :class:`FactorizationTrace`: the factors
-plus one audit record per block (norms, inverse norms of the diagonal blocks,
-running orthogonality defect) so the stability checks can run afterwards
-without refactoring.
+plus one audit record per block (norms, inverse norms of the diagonal blocks)
+so the stability checks can run afterwards without refactoring, and the
+orthogonality defect of the finished ``Q`` on the last record.
 
 ``cgs``, ``cgs2``, ``bcgs`` and ``bcgs2`` are one block loop,
 :func:`_gram_schmidt`, that differs only in its intra-block step:
@@ -25,12 +25,12 @@ not a different step.  ``_project`` is not called here; it stays
 imported, as do the steps, because the benchmark's tracer
 (``perfbench/layers.py``) wraps these module bindings.
 
-The running defect is a bordered Gram update: each driver keeps one n-by-n
-work array, and at each block :func:`orthogonality_defect` adds only the new
-border ``Q[:, :hi]^T Q[:, lo:hi]`` to the Gram matrix of the earlier columns.
-The audit thus costs O(m n^2) in all, plus one SVD of ``I - G`` per block,
-instead of O(m n^3 / p) for a fresh ``Q^T Q`` at every block, and its values
-are bitwise those of the fresh product.  Width-1 blocks take their record
+The defect ``|I - Q^T Q|`` is taken once, at the last block, as
+:func:`orthogonality_defect` of the finished ``Q``: the paper bounds the
+finished factor's loss of orthogonality, and the stability checks read only
+the block and inverse norms.  It stays inside the driver call, so a timed
+factorization includes it.  The defect after block k, if wanted, is
+``orthogonality_defect(trace.q[:, :hi])``.  Width-1 blocks take their record
 norms without an SVD: the column norm and the reciprocal of the diagonal.
 
 Drivers record and never abort on a failed stability check; they only raise
@@ -65,7 +65,9 @@ class BlockRecord:
     """Audit data for one processed block.
 
     ``r2_inv_norm`` is None for the first block and for one-pass methods,
-    which have no second-pass triangular factor.
+    which have no second-pass triangular factor.  ``defect`` is the
+    orthogonality defect of the finished ``Q``, on the last block only; it
+    is None on every earlier one.
     """
 
     index: int
@@ -74,7 +76,7 @@ class BlockRecord:
     block_norm: float
     rkk_inv_norm: float
     r2_inv_norm: float | None
-    defect: float
+    defect: float | None
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,6 @@ def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
-    gram = np.empty((n, n), order="F")
     records = []
     for k, (lo, hi) in enumerate(blocks.column_spans(), start=1):
         panel = a[:, lo:hi]
@@ -167,7 +168,7 @@ def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
                 block_norm=block_norm,
                 rkk_inv_norm=rkk_inv_norm,
                 r2_inv_norm=None if k == 1 else res.r2_inv_norm,
-                defect=orthogonality_defect(q[:, :hi], gram, lo),
+                defect=orthogonality_defect(q) if hi == n else None,
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
@@ -226,7 +227,6 @@ def mgs(a) -> FactorizationTrace:
 
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
-    gram = np.empty((n, n), order="F")
     records = []
     for k in range(1, n + 1):
         v = np.array(a[:, k - 1 : k], order="F", copy=True)
@@ -248,7 +248,7 @@ def mgs(a) -> FactorizationTrace:
                 block_norm=kernels.vec_norm(a[:, k - 1]),
                 rkk_inv_norm=1.0 / res.r[0, 0],
                 r2_inv_norm=None,
-                defect=orthogonality_defect(q[:, :k], gram, k - 1),
+                defect=orthogonality_defect(q) if k == n else None,
             )
         )
     return FactorizationTrace(QRFactorization(q, r), tuple(records))

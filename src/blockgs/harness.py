@@ -10,9 +10,7 @@ failure and the sweep continues.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +27,6 @@ from .errors import AssumptionFailureError
 from .generators import gen_hilbert_like, gen_lauchli, gen_svd_spectrum
 from .localqr import local_qr
 from .mmio import read_matrix_market
-
-THREADS_ENV = "BGS_THREADS"
 
 METHODS = ("cgs", "mgs", "cgs2", "bcgs", "bcgs2", "householder")
 GENERATORS = ("svd-spectrum", "lauchli", "hilbert-like", "file")
@@ -197,30 +193,13 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
     )
 
 
-def trial_threads() -> int:
-    """Trial parallelism from ``BGS_THREADS``: default 1, values below 1 mean 1."""
-    raw = os.environ.get(THREADS_ENV, "1") or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-
-
 def run(config: ExperimentConfig, verify_contracts: bool = False) -> list[ReportRow]:
-    """Run every trial of a configuration; rows come back in trial order.
+    """Run every trial of a configuration, in trial order.
 
-    ``BGS_THREADS`` caps trial parallelism (default 1).  With
-    ``verify_contracts`` the defect and residual of each passing two-pass row
-    are checked against their growth-function bounds.
+    With ``verify_contracts`` the defect and residual of each passing
+    two-pass row are checked against their growth-function bounds.
     """
-    threads = trial_threads()
-    indices = range(config.trials)
-    if threads == 1 or config.trials == 1:
-        rows = [_run_trial(config, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_trial, config, i) for i in indices]
-            rows = [f.result() for f in futures]
+    rows = [_run_trial(config, i) for i in range(config.trials)]
     if verify_contracts:
         verify_report_contracts(rows)
     return rows

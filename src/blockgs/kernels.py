@@ -134,9 +134,11 @@ def _householder_fill_numpy(r, q, v, beta):
         beta[j] = 2.0 / _sumsq_numpy(v[j:, j])
         w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:])
         r[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
+    # Reflector j acts on q[j:, j:] only: columns < j of those rows are
+    # still exact zeros, as in LAPACK's dorg2r, so skipping them is exact.
     for j in range(p - 1, -1, -1):
-        w = _weighted_row_sum_numpy(v[j:, j], q[j:, :])
-        q[j:, :] -= np.multiply.outer(v[j:, j], beta[j] * w)
+        w = _weighted_row_sum_numpy(v[j:, j], q[j:, j:])
+        q[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

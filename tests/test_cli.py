@@ -95,6 +95,21 @@ def test_hard_breakdown_exits_1(tmp_path, capsys):
     assert "breakdown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["cgs", "bcgs2"])
+def test_svd_failure_exits_1(tmp_path, capsys, monkeypatch, method):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    csv = tmp_path / "out.csv"
+    blocks = ["--block", "4"] if method == "bcgs2" else []
+    code = main(["--method", method, "--m", "20", "--n", "8", *blocks, "--csv", str(csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "numerical breakdown: SVD did not converge" in err
+    assert "Traceback" not in err and not csv.exists()
+
+
 @pytest.mark.parametrize("method", ["bcgs", "bcgs2"])
 def test_overflowing_column_norm_exits_1(tmp_path, capsys, method):
     # Finite entries whose squares overflow: the width-1 panel's norm is inf.
@@ -138,17 +153,6 @@ def test_block_flag_for_column_method_rejected(tmp_path, capsys):
 def test_missing_sizes_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["--method", "cgs", "--gen", "svd", "--csv", str(tmp_path / "o.csv")])
-
-
-def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BGS_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "--method", "cgs", "--m", "10", "--n", "4",
-            "--gen", "svd", "--csv", str(tmp_path / "out.csv"),
-        ])
-    assert exc.value.code == 2
-    assert "BGS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_zero_block_width_is_usage_error(tmp_path, capsys):

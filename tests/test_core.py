@@ -111,28 +111,6 @@ class TestOrthogonalityDefect:
         with pytest.raises(ValueError):
             bg.orthogonality_defect(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("known", [0, 9])
-    def test_bordered_gram_matches_full_product_bitwise(self, rng, known):
-        q = random_orthonormal(40, 10, seed=7) + 1e-9 * rng.standard_normal((40, 10))
-        q = np.asfortranarray(q)
-        gram = np.full((12, 12), np.nan, order="F")
-        if known:
-            gram[:known, :known] = bg.matmul(q[:, :known].T, q[:, :known])
-        got = bg.orthogonality_defect(q, gram, known)
-        fresh = bg.orthogonality_defect(q)
-        assert np.float64(got).tobytes() == np.float64(fresh).tobytes()
-        assert gram[:10, :10].tobytes() == bg.matmul(q.T, q).tobytes()
-        assert np.isnan(gram[10:, :]).all() and np.isnan(gram[:, 10:]).all()
-
-    def test_bordered_gram_rejects_bad_arguments(self):
-        q = np.eye(4)
-        with pytest.raises(ValueError, match="known columns"):
-            bg.orthogonality_defect(q, np.empty((4, 4)), 4)
-        with pytest.raises(ValueError, match="known columns"):
-            bg.orthogonality_defect(q, None, 2)
-        with pytest.raises(ValueError, match="smaller"):
-            bg.orthogonality_defect(q, np.empty((3, 4)), 0)
-
 
 class TestRelativeResidual:
     def test_identity_factorization(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockgs as bg
+from blockgs import drivers
 from blockgs.errors import GramSchmidtBreakdownError, RankDeficientError
 
 
@@ -107,7 +108,8 @@ class TestBcgs2:
         ctx = bg.BoundContext(m=80, p=8, n=32)
         assert all(v.either_passed for v in bg.check_assumptions(tr, ctx))
         for rec in tr.per_block:
-            assert rec.defect <= 10.0 * bg.MACHINE_UNIT * bg.f1(80, rec.t_prev, 8)
+            defect = bg.orthogonality_defect(tr.q[:, : rec.t_prev + rec.width])
+            assert defect <= 10.0 * bg.MACHINE_UNIT * bg.f1(80, rec.t_prev, 8)
 
     def test_partition_invariance_of_contracts(self):
         a = bg.gen_svd_spectrum(64, 32, kappa=1e6, seed=3)
@@ -188,17 +190,15 @@ class TestFactorizationTrace:
             bg.cgs2(rng.standard_normal((3, 5)))
 
 
-def _assert_running_defect_is_fresh(tr):
-    # The bordered Gram update must reproduce the from-scratch defect of
-    # every prefix byte for byte, both through the one-argument call and
-    # spelled out as |I - Q^T Q|.
-    hi = 0
-    for rec in tr.per_block:
-        hi += rec.width
-        q = tr.q[:, :hi]
-        spelled_out = bg.spectral_norm(np.eye(hi) - bg.matmul(q.T, q))
-        for fresh in (bg.orthogonality_defect(q), spelled_out):
-            assert np.float64(rec.defect).tobytes() == np.float64(fresh).tobytes()
+def _assert_last_defect_is_fresh(tr):
+    # Only the last record holds a defect: that of the finished Q, byte for
+    # byte, both through orthogonality_defect and spelled out as |I - Q^T Q|.
+    *earlier, last = tr.per_block
+    assert all(rec.defect is None for rec in earlier)
+    n = tr.q.shape[1]
+    spelled_out = bg.spectral_norm(np.eye(n) - bg.matmul(tr.q.T, tr.q))
+    for fresh in (bg.orthogonality_defect(tr.q), spelled_out):
+        assert np.float64(last.defect).tobytes() == np.float64(fresh).tobytes()
 
 
 _GRADED = bg.gen_svd_spectrum(60, 10, kappa=1e8, seed=21)
@@ -214,7 +214,7 @@ _AUDIT_IDS = ["graded", "orthonormal", "identity"]
 @pytest.mark.parametrize("a", _AUDIT_INPUTS, ids=_AUDIT_IDS)
 @pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs"])
 def test_running_defect_matches_fresh_defect_columnwise(a, method):
-    _assert_running_defect_is_fresh(getattr(bg, method)(a))
+    _assert_last_defect_is_fresh(getattr(bg, method)(a))
 
 
 @pytest.mark.parametrize("a", _AUDIT_INPUTS, ids=_AUDIT_IDS)
@@ -230,7 +230,21 @@ def test_running_defect_matches_fresh_defect_columnwise(a, method):
 )
 @pytest.mark.parametrize("method", ["bcgs", "bcgs2"])
 def test_running_defect_matches_fresh_defect_blockwise(a, part, method):
-    _assert_running_defect_is_fresh(getattr(bg, method)(a, part))
+    _assert_last_defect_is_fresh(getattr(bg, method)(a, part))
+
+
+@pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs", "bcgs", "bcgs2"])
+def test_defect_is_taken_once_per_factorization(monkeypatch, method):
+    calls = []
+
+    def counting(q):
+        calls.append(q.shape)
+        return bg.orthogonality_defect(q)
+
+    monkeypatch.setattr(drivers, "orthogonality_defect", counting)
+    blocks = (bg.BlockPartition((3, 5, 2)),) if method.startswith("b") else ()
+    getattr(bg, method)(_GRADED, *blocks)
+    assert calls == [(60, 10)]
 
 
 def _assert_traces_equal_bitwise(tr, other):

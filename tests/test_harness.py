@@ -113,18 +113,6 @@ class TestRun:
                 b.rel_residual,
             )
 
-    def test_threads_env_gives_same_measurements(self, monkeypatch):
-        sequential = bg.run(_config(trials=4))
-        monkeypatch.setenv("BGS_THREADS", "3")
-        threaded = bg.run(_config(trials=4))
-        for a, b in zip(sequential, threaded):
-            assert a.defect == b.defect and a.kappa_measured == b.kappa_measured
-
-    def test_bad_threads_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("BGS_THREADS", "two")
-        with pytest.raises(ValueError, match="BGS_THREADS must be an integer"):
-            bg.run(_config(trials=2))
-
     def test_lauchli_generator_through_harness(self):
         cfg = bg.ExperimentConfig(
             method="cgs", m=21, n=20, generator="lauchli", kappa=1e8, seed=0,

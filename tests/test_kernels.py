@@ -271,6 +271,8 @@ ROW_CHUNK = kernels._ROW_CHUNK
         (ROW_CHUNK, 3),
         (ROW_CHUNK + 1, 3),
         (2 * ROW_CHUNK + 1, 3),
+        (2 * ROW_CHUNK + 1, 16),
+        (40, 32),
     ],
 )
 def test_householder_numpy_matches_scalar_source(rng, shape):
