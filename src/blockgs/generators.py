@@ -6,6 +6,8 @@ give bitwise-identical matrices on a given platform.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -21,7 +23,7 @@ def gen_svd_spectrum(m: int, n: int, kappa: float, seed: int) -> np.ndarray:
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise ValueError(f"condition target must be >= 1, got {kappa}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
@@ -42,8 +44,8 @@ def gen_lauchli(n: int, eps_val: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not eps_val > 0.0:
-        raise ValueError(f"need eps_val > 0, got {eps_val}")
+    if not (eps_val > 0.0 and math.isfinite(eps_val)):
+        raise ValueError(f"need a finite eps_val > 0, got {eps_val}")
     a = np.zeros((n + 1, n), order="F")
     a[0, :] = 1.0
     a[1:, :] = eps_val * np.eye(n)

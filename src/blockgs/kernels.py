@@ -8,9 +8,13 @@ The kernels keep that order with whole-array numpy operations: the product
 is one rank-1 update per inner index (on column chunks of the output), or
 one accumulate along the rows of ``a * b[:, 0]`` when the output is a short
 column, and the dot products and norms are ``np.add.accumulate``, which sums
-strictly left to right (in bounded row chunks for the Householder
-reflectors).  Pairwise or BLAS reductions (``np.sum``, ``add.reduce``,
-``np.dot``, ``@``) round differently and are never used.
+strictly left to right.  The Householder reflector products sum bounded row
+chunks, with ``add.accumulate`` or, on chunks at least 8 columns wide, with
+``np.add.reduce`` along axis 0 of a C-order chunk from ``initial=-0.0``.
+Only there is a reduce the same order: its inner loop runs across the
+columns, so each column still adds one row at a time.  Everywhere else
+pairwise or BLAS reductions (``np.sum``, ``add.reduce``, ``np.dot``, ``@``)
+round differently and are never used.
 """
 
 from __future__ import annotations
@@ -96,21 +100,34 @@ def _sumsq_numpy(x):
 #: _ROW_CHUNK x (panel width) entries.
 _ROW_CHUNK = 256
 
+#: Fewest columns for which a reflector product chunk is summed with
+#: add.reduce rather than add.accumulate.  Both add the rows in order (see
+#: _weighted_row_sum_numpy); the reduce writes one row instead of all of
+#: them but pays a call per row, so it loses below about 8 columns.
+_REDUCE_MIN_WIDTH = 8
+
 
 def _weighted_row_sum_numpy(x, y):
     # sum_i x[i] * y[i, :] over ascending rows, seeded with the i=0 term: the
-    # order of a scalar `w += x[i] * y[i, col]` loop.  Each row chunk is
-    # summed with add.accumulate along axis 0, after the running sum is added
-    # into the chunk's first row (blk[0] += w is the same IEEE addition as
-    # w += blk[0]).
+    # order of a scalar `w += x[i] * y[i, col]` loop.  The running sum is
+    # added into each row chunk's first row (blk[0] += w is the same IEEE
+    # addition as w += blk[0]), then the chunk is summed down its rows.
+    # add.accumulate always adds one row at a time.  add.reduce does so only
+    # because the chunk is C-order and at least 2 columns wide: its inner
+    # loop then runs across the columns, and each column adds its rows in
+    # order onto the exact identity -0.0.  Were axis 0 the inner loop (one
+    # column, or a Fortran-order chunk), numpy would sum it pairwise.
+    reduce = y.shape[1] >= _REDUCE_MIN_WIDTH
     w = None
     for lo in range(0, x.shape[0], _ROW_CHUNK):
         hi = lo + _ROW_CHUNK
-        blk = x[lo:hi, None] * y[lo:hi]
+        blk = np.multiply(x[lo:hi, None], y[lo:hi], order="C")
         if w is not None:
             blk[0] += w
-        np.add.accumulate(blk, axis=0, out=blk)
-        w = blk[-1].copy()  # a view would keep the chunk alive
+        if reduce:
+            w = np.add.reduce(blk, axis=0, initial=-0.0)
+        else:
+            w = np.add.accumulate(blk, axis=0, out=blk)[-1]
     return w
 
 
@@ -120,7 +137,8 @@ def _householder_fill_numpy(r, q, v, beta):
     # v, beta: scratch for the reflectors (unnormalized) and their 2/v^T v
     # scale factors; this formulation stays exact on integer-valued panels.
     # The norms and reflector dot products accumulate over ascending rows,
-    # vectorized across the trailing columns.
+    # vectorized across the trailing columns.  householder_qr passes r and q
+    # row-major, so the reflector products and updates stream along rows.
     p = r.shape[1]
     for j in range(p):
         normx = np.sqrt(_sumsq_numpy(r[j:, j]))
@@ -173,11 +191,13 @@ def householder_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal.  No sign normalization is applied here.
     """
     m, p = b.shape
-    rwork = np.array(b, dtype=np.float64, order="F", copy=True)
-    q = np.asfortranarray(np.eye(m, p))
+    rwork = np.array(b, dtype=np.float64, order="C", copy=True)
+    q = np.eye(m, p)
     v = np.zeros((m, p), dtype=np.float64, order="F")
     beta = np.zeros(p, dtype=np.float64)
     _householder_fill_numpy(rwork, q, v, beta)
     r = np.asfortranarray(np.triu(rwork[:p, :p]))
-    return q, r
-
+    # Free the work arrays before the Fortran copy of q, so the three are
+    # never alive at once.
+    del rwork, v
+    return np.asfortranarray(q), r

@@ -41,6 +41,10 @@ class TestSvdSpectrum:
         with pytest.raises(ValueError):
             bg.gen_svd_spectrum(5, 3, kappa=0.5, seed=0)
 
+    def test_rejects_nan_kappa_before_building(self):
+        with pytest.raises(ValueError, match="condition target must be >= 1, got nan"):
+            bg.gen_svd_spectrum(10, 4, kappa=float("nan"), seed=0)
+
 
 class TestLauchli:
     def test_shape_and_entries(self):
@@ -67,6 +71,12 @@ class TestLauchli:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             bg.gen_lauchli(3, 0.0)
+
+    @pytest.mark.parametrize("eps_val", [float("inf"), float("nan")])
+    def test_rejects_non_finite_eps_before_arithmetic(self, eps_val):
+        # inf * 0 would warn (an error under this suite's settings) first.
+        with pytest.raises(ValueError, match="need a finite eps_val > 0"):
+            bg.gen_lauchli(4, eps_val)
 
 
 class TestHilbertLike:

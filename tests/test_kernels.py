@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blockgs import kernels
 
@@ -41,6 +44,16 @@ def _sumsq_py(x):
     for i in range(1, x.shape[0]):
         acc += x[i] * x[i]
     return acc
+
+
+def _weighted_row_sum_py(x, y):
+    w = np.empty(y.shape[1])
+    for col in range(y.shape[1]):
+        acc = x[0] * y[0, col]
+        for i in range(1, x.shape[0]):
+            acc += x[i] * y[i, col]
+        w[col] = acc
+    return w
 
 
 def _householder_fill(r, q, v, beta):
@@ -104,14 +117,15 @@ def _run_fill(fill, a, b):
     return out
 
 
-def _run_householder(fill, b):
+def _run_householder(fill, b, order="F"):
+    # order: memory order of the working copies of the panel and of q.
     m, p = b.shape
-    rwork = np.array(b, dtype=np.float64, order="F", copy=True)
-    q = np.asfortranarray(np.eye(m, p))
+    rwork = np.array(b, dtype=np.float64, order=order, copy=True)
+    q = np.array(np.eye(m, p), order=order)
     v = np.zeros((m, p), order="F")
     beta = np.zeros(p)
     fill(rwork, q, v, beta)
-    return q, np.asfortranarray(np.triu(rwork[:p, :p]))
+    return np.asfortranarray(q), np.asfortranarray(np.triu(rwork[:p, :p]))
 
 
 def test_matmul_matches_triple_loop_oracle(rng):
@@ -251,12 +265,18 @@ def test_dot_numpy_keeps_left_to_right_order():
 
 def _assert_householder_matches_scalar_source(b):
     q1, r1 = _run_householder(_householder_fill, b)
-    q2, r2 = _run_householder(kernels._householder_fill_numpy, b)
-    assert q2.tobytes() == q1.tobytes()
-    assert r2.tobytes() == r1.tobytes()
+    for order in "FC":
+        q2, r2 = _run_householder(kernels._householder_fill_numpy, b, order)
+        assert q2.tobytes() == q1.tobytes()
+        assert r2.tobytes() == r1.tobytes()
+    q3, r3 = kernels.householder_qr(b)
+    assert q3.flags.f_contiguous and r3.flags.f_contiguous
+    assert q3.tobytes() == q1.tobytes()
+    assert r3.tobytes() == r1.tobytes()
 
 
 ROW_CHUNK = kernels._ROW_CHUNK
+REDUCE_MIN_WIDTH = kernels._REDUCE_MIN_WIDTH
 
 
 @pytest.mark.parametrize(
@@ -273,10 +293,13 @@ ROW_CHUNK = kernels._ROW_CHUNK
         (2 * ROW_CHUNK + 1, 3),
         (2 * ROW_CHUNK + 1, 16),
         (40, 32),
+        (ROW_CHUNK + 1, 9),
     ],
 )
 def test_householder_numpy_matches_scalar_source(rng, shape):
-    _assert_householder_matches_scalar_source(_fortran(rng, shape))
+    b = _fortran(rng, shape)
+    _assert_householder_matches_scalar_source(b)
+    _assert_householder_matches_scalar_source(np.ascontiguousarray(b))
 
 
 @pytest.mark.parametrize("zero_col", [0, 2, 4])
@@ -299,12 +322,83 @@ def test_householder_numpy_keeps_row_order_across_chunks():
     _assert_householder_matches_scalar_source(b)
 
 
+def _row_sum_cases(rng, height, width):
+    # Gaussian products; every column a cancelling sum (one huge product
+    # then ones, which only a strictly ascending sum drops); and products
+    # that are all -0.0, whose sum is -0.0 only from the exact identity.
+    signs = np.where(np.arange(height) % 2 == 0, 1.0, -1.0)
+    cancel = np.tile(_cancelling_vector(height)[:, None], (1, width))
+    return [
+        (rng.standard_normal(height), rng.standard_normal((height, width))),
+        (np.ones(height), cancel * 2.0 ** np.arange(width)),
+        (signs, np.tile(-0.0 * signs[:, None], (1, width))),
+    ]
+
+
+@pytest.mark.parametrize("order", "FC")
+@pytest.mark.parametrize(
+    "height",
+    [1, 8, 9, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1],
+)
+@pytest.mark.parametrize(
+    "width", [1, 2, 3, REDUCE_MIN_WIDTH - 1, REDUCE_MIN_WIDTH, 17]
+)
+def test_weighted_row_sum_numpy_matches_scalar_source(rng, width, height, order):
+    for x, y in _row_sum_cases(rng, height, width):
+        y = np.array(y, order=order)
+        expected = _weighted_row_sum_py(x, y)
+        got = kernels._weighted_row_sum_numpy(x, y)
+        assert got.shape == (width,)
+        assert got.tobytes() == expected.tobytes()
+    assert np.all(np.signbit(got)) and np.all(got == 0.0)
+
+
+def test_weighted_row_sum_cancelling_case_shows_the_order():
+    # The cancelling columns above check the order only if a pairwise sum,
+    # numpy's sum down a contiguous column, gets them wrong.
+    height = 2 * ROW_CHUNK + 1
+    x, y = _row_sum_cases(np.random.default_rng(0), height, 17)[1]
+    expected = _weighted_row_sum_py(x, y)
+    assert np.all(expected == 2.0 ** (53 + np.arange(17)))
+    pairwise = np.sum(np.asfortranarray(x[:, None] * y), axis=0)
+    assert np.all(pairwise != expected)
+
+
 def test_householder_orthonormal_and_reconstructs(rng):
     b = np.asfortranarray(rng.standard_normal((30, 8)))
     q, r = kernels.householder_qr(b)
     assert np.linalg.norm(q.T @ q - np.eye(8)) < 1e-14
     assert np.linalg.norm(b - q @ r) < 1e-13 * np.linalg.norm(b)
     assert np.all(np.tril(r, -1) == 0.0)
+
+
+# Entries whose products and sums are exact or round in telling ways:
+# small integers, both signed zeros, and integers scaled by 2^40 or 2^-40.
+_ENTRIES = st.one_of(
+    st.integers(-8, 8).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda k, e: k * 2.0**e, st.integers(-8, 8), st.sampled_from([-40, 40])
+    ),
+)
+
+
+@st.composite
+def _panels(draw):
+    m = draw(st.integers(1, 40))
+    # Widths up to 12 reach both the accumulate and the reduce row sums.
+    p = draw(st.integers(1, min(m, REDUCE_MIN_WIDTH + 4)))
+    b = draw(hnp.arrays(np.float64, (m, p), elements=_ENTRIES))
+    return np.array(b, order=draw(st.sampled_from("CF")))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(_panels())
+def test_householder_qr_matches_scalar_source_property(b):
+    q1, r1 = _run_householder(_householder_fill, b)
+    q2, r2 = kernels.householder_qr(b)
+    assert q2.tobytes() == q1.tobytes()
+    assert r2.tobytes() == r1.tobytes()
 
 
 def test_import_leaves_numba_out():
