@@ -79,18 +79,40 @@ def spectral_norm(a) -> float:
         raise SpectralNormError(f"SVD did not converge: {exc}") from exc
 
 
+#: Columns per tile of the Gram matrix.  Narrow tiles have few entries, so
+#: each product sums long chunks of its inner index; 8 was fastest on
+#: 200x48 to 2000x128 panels.
+_GRAM_TILE = 8
+
+
+def _gram(q: np.ndarray) -> np.ndarray:
+    """``kernels.matmul(q.T, q)``, bitwise, from its upper column tiles.
+
+    Entry (i, j) sums ``q[k, i] * q[k, j]`` over ascending k, and the
+    products commute exactly, so each tile above the diagonal is mirrored
+    below it instead of being formed again.
+    """
+    n = q.shape[1]
+    gram = np.empty((n, n), order="F")
+    for lo in range(0, n, _GRAM_TILE):
+        hi = min(lo + _GRAM_TILE, n)
+        gram[:hi, lo:hi] = kernels.matmul(q[:, :hi].T, q[:, lo:hi])
+        gram[lo:hi, :lo] = gram[:lo, lo:hi].T
+    return gram
+
+
 def orthogonality_defect(q) -> float:
     """Spectral-norm distance of q^T q from the identity, ``|I - Q^T Q|``.
 
-    The Gram matrix is the fixed-order product ``kernels.matmul(q.T, q)``,
-    so the value reproduces bitwise; the drivers call this once, on the
-    finished ``Q``.
+    The Gram matrix is bitwise the fixed-order product
+    ``kernels.matmul(q.T, q)``, so the value reproduces bitwise; the drivers
+    call this once, on the finished ``Q``.
     """
     q = as_matrix(q)
     m, n = q.shape
     if m < n:
         raise ValueError(f"orthogonality defect needs rows >= cols, got {m}x{n}")
-    gram = kernels.matmul(q.T, q)
+    gram = _gram(q)
     # I - G, not -(G - I): negation would flip the sign of exact zeros.
     d = np.asfortranarray(np.eye(n) - gram)
     return spectral_norm(d)

@@ -4,17 +4,22 @@ Accumulations run over ascending indices and start from the first term
 rather than from zero, so repeated calls are reproducible run to run and
 bitwise equal to the plain scalar loops the tests keep as an oracle.
 
-The kernels keep that order with whole-array numpy operations: the product
-is one rank-1 update per inner index (on column chunks of the output), or
-one accumulate along the rows of ``a * b[:, 0]`` when the output is a short
-column, and the dot products and norms are ``np.add.accumulate``, which sums
-strictly left to right.  The Householder reflector products sum bounded row
-chunks, with ``add.accumulate`` or, on chunks at least 8 columns wide, with
-``np.add.reduce`` along axis 0 of a C-order chunk from ``initial=-0.0``.
-Only there is a reduce the same order: its inner loop runs across the
-columns, so each column still adds one row at a time.  Everywhere else
-pairwise or BLAS reductions (``np.sum``, ``add.reduce``, ``np.dot``, ``@``)
-round differently and are never used.
+The kernels keep that order with whole-array numpy operations.  The product
+``out[i, j] = sum_k a[i, k] * b[k, j]`` forms the terms of a chunk of inner
+indices as one C-order buffer, one row of ``out``'s entries per index, and
+sums the chunk down its rows with ``np.add.reduce(axis=0, initial=-0.0)``
+after adding the carried sum into the first row.  With at least 2 entries
+per row numpy's inner loop runs across the entries, so each entry still adds
+its terms one index at a time, in ascending order, onto the exact identity
+``-0.0``.  Outputs of fewer than 8 entries sum the chunk with
+``np.add.accumulate`` instead, which adds one row at a time whatever the
+layout; outputs too large for a chunk of 8 indices keep one rank-1 update per
+inner index.  The Householder reflector products ``v^T Y`` are the one-row
+case of the same product.  Dot products and norms are ``np.add.accumulate``,
+which sums strictly left to right.  Reduced along a contiguous axis, or with
+one entry per row, numpy would sum pairwise, and BLAS products reorder the
+sum, so ``np.sum``, ``np.dot``, ``np.matmul``, ``np.einsum`` and ``@`` round
+differently and are never used.
 """
 
 from __future__ import annotations
@@ -34,48 +39,67 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-#: Entries per column chunk of the product's output.  A chunk and its
-#: scratch buffer stay in cache through the K rank-1 updates; a whole tall
-#: output (2000x128) would not, and its scratch would double peak memory.
+#: Entries in the product's work buffer (256 KB): a chunk of inner indices
+#: times the output's entries, or a column chunk of the output on the rank-1
+#: path.  It stays in cache, and it is allocated once per call.
 _MATMUL_CHUNK = 1 << 15
 
-#: Most output rows for which the product sums a width-1 output with one
-#: accumulate.  An accumulate adds one term at a time per row, while a
-#: rank-1 update adds a whole column at once, so tall outputs keep the
-#: rank-1 loop (the two cost the same at 400 to 600 rows).  The 2000x64
-#: by 64x1 products of a width-1 block at m=2000 are on the tall side.
-_MATVEC_MAX_ROWS = 512
+#: Fewest inner indices per chunk for which the product sums a buffer of
+#: terms.  An output of more than _MATMUL_CHUNK / 8 entries (500x16, 96x96,
+#: 2000x128) keeps one rank-1 update per inner index, which is as fast there.
+_MATMUL_MIN_TERMS = 8
+
+#: Fewest output entries for which a chunk of terms is summed with
+#: add.reduce rather than add.accumulate.  Both add the rows in order; the
+#: reduce writes one row instead of all of them but pays a call per row, so
+#: it loses below about 8 entries.  A single entry must accumulate: its
+#: reduce would run down the one column, pairwise.
+_REDUCE_MIN_SIZE = 8
 
 
 def _matmul_fill_numpy(a, b, out):
     # out[i, j] = sum_k a[i, k] * b[k, j], k ascending, seeded with the k=0
-    # term so that a width-1 product is a bare multiplication.  The order is
-    # that of a scalar loop over (j, i, k), as one rank-1 update per inner
-    # index k: every entry gets the same rounded product added in the same
-    # order, but the loop runs K times per column chunk, not n*K times.
+    # term so that a width-1 product is a bare multiplication: the order of a
+    # scalar loop over (j, i, k).
+    if not out.flags.f_contiguous:
+        raise ValueError("the product's output array must be Fortran-ordered")
     m, n = out.shape
     kk = a.shape[1]
-    if n == 1 and m <= _MATVEC_MAX_ROWS:
-        # Matrix-vector product: each entry is its row of a * b[:, 0] summed
-        # by add.accumulate, left to right from the k=0 product, one
-        # accumulate per row chunk instead of K rank-1 updates.
-        rows = max(1, _MATMUL_CHUNK // kk)
-        for lo in range(0, m, rows):
-            terms = a[lo : lo + rows] * b[:, 0]
-            out[lo : lo + rows, 0] = np.add.accumulate(terms, axis=1)[:, -1]
+    size = m * n
+    terms = min(kk, _MATMUL_CHUNK // size)
+    if terms < min(kk, _MATMUL_MIN_TERMS):
+        # One rank-1 update per inner index on column chunks of out: every
+        # entry gets the same rounded product added in the same order.
+        width = max(1, _MATMUL_CHUNK // m)
+        np.multiply(a[:, :1], b[:1, :], out=out)
+        tmp = np.empty((m, min(width, n)), order="F")
+        for lo in range(0, n, width):
+            chunk = out[:, lo : lo + width]
+            scratch = tmp[:, : chunk.shape[1]]
+            # a_k is column k of a as m-by-1, b_k row k of b's chunk as 1-by-width.
+            for a_k, b_k in zip(a.T[1:, :, None], b[1:, None, lo : lo + width]):
+                np.multiply(a_k, b_k, out=scratch)
+                chunk += scratch
         return
-    width = max(1, _MATMUL_CHUNK // m)
-    np.multiply(a[:, :1], b[:1, :], out=out)
-    if kk == 1:
-        return
-    tmp = np.empty((m, min(width, n)), order="F")
-    for lo in range(0, n, width):
-        chunk = out[:, lo : lo + width]
-        scratch = tmp[:, : chunk.shape[1]]
-        # a_k is column k of a as m-by-1, b_k row k of b's chunk as 1-by-width.
-        for a_k, b_k in zip(a.T[1:, :, None], b[1:, None, lo : lo + width]):
-            np.multiply(a_k, b_k, out=scratch)
-            chunk += scratch
+    # Row t of a chunk holds the terms of inner index lo + t, laid out like
+    # out (buf[t, j, i] = b[k, j] * a[i, k]), so its sums land in out's
+    # memory.  The carried sum is added into the chunk's first row
+    # (blk[0] += acc is the same IEEE addition as acc += blk[0]), then the
+    # chunk is summed down its rows onto -0.0, which adds the k=0 term
+    # exactly.
+    buf = np.empty((terms, n, m))
+    rows = buf.reshape(terms, size)
+    acc = out.T.reshape(size)
+    for lo in range(0, kk, terms):
+        hi = min(lo + terms, kk)
+        np.multiply(b[lo:hi, :, None], a.T[lo:hi, None, :], out=buf[: hi - lo])
+        blk = rows[: hi - lo]
+        if lo:
+            blk[0] += acc
+        if size >= _REDUCE_MIN_SIZE:
+            np.add.reduce(blk, axis=0, initial=-0.0, out=acc)
+        else:
+            acc[:] = np.add.accumulate(blk, axis=0, out=blk)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -96,39 +120,13 @@ def _sumsq_numpy(x):
 # ---------------------------------------------------------------------------
 
 
-#: Rows per chunk in the reflector products; bounds the temporary to
-#: _ROW_CHUNK x (panel width) entries.
-_ROW_CHUNK = 256
-
-#: Fewest columns for which a reflector product chunk is summed with
-#: add.reduce rather than add.accumulate.  Both add the rows in order (see
-#: _weighted_row_sum_numpy); the reduce writes one row instead of all of
-#: them but pays a call per row, so it loses below about 8 columns.
-_REDUCE_MIN_WIDTH = 8
-
-
 def _weighted_row_sum_numpy(x, y):
     # sum_i x[i] * y[i, :] over ascending rows, seeded with the i=0 term: the
-    # order of a scalar `w += x[i] * y[i, col]` loop.  The running sum is
-    # added into each row chunk's first row (blk[0] += w is the same IEEE
-    # addition as w += blk[0]), then the chunk is summed down its rows.
-    # add.accumulate always adds one row at a time.  add.reduce does so only
-    # because the chunk is C-order and at least 2 columns wide: its inner
-    # loop then runs across the columns, and each column adds its rows in
-    # order onto the exact identity -0.0.  Were axis 0 the inner loop (one
-    # column, or a Fortran-order chunk), numpy would sum it pairwise.
-    reduce = y.shape[1] >= _REDUCE_MIN_WIDTH
-    w = None
-    for lo in range(0, x.shape[0], _ROW_CHUNK):
-        hi = lo + _ROW_CHUNK
-        blk = np.multiply(x[lo:hi, None], y[lo:hi], order="C")
-        if w is not None:
-            blk[0] += w
-        if reduce:
-            w = np.add.reduce(blk, axis=0, initial=-0.0)
-        else:
-            w = np.add.accumulate(blk, axis=0, out=blk)[-1]
-    return w
+    # order of a scalar `w += x[i] * y[i, col]` loop.  It is the one-row
+    # product x^T y.
+    w = np.empty((1, y.shape[1]), order="F")
+    _matmul_fill_numpy(x[None, :], y, w)
+    return w[0]
 
 
 def _householder_fill_numpy(r, q, v, beta):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockgs as bg
+from blockgs import core, kernels
 from conftest import random_orthonormal
 
 
@@ -110,6 +111,24 @@ class TestOrthogonalityDefect:
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             bg.orthogonality_defect(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "n", [1, core._GRAM_TILE - 1, 2 * core._GRAM_TILE, 2 * core._GRAM_TILE + 3]
+    )
+    def test_tiled_gram_is_the_full_product(self, rng, n):
+        # Gaussian columns, and columns whose products cancel (a huge first
+        # row over ones) or are all -0.0, where the summation order shows.
+        gauss = rng.standard_normal((40, n))
+        cancel = np.ones((40, n))
+        cancel[0] = 2.0**27 * (1.0 + np.arange(n) % 3)
+        zeros = np.zeros((40, n))
+        zeros[:, ::2] = -0.0
+        zeros[::3, 1::2] = 1.0
+        for q in (gauss, cancel, zeros):
+            q = np.asfortranarray(q)
+            gram = core._gram(q)
+            assert gram.flags.f_contiguous
+            assert gram.tobytes() == kernels.matmul(q.T, q).tobytes()
 
 
 class TestRelativeResidual:

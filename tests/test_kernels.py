@@ -1,12 +1,14 @@
 """Kernel-level tests: fixed summation order against scalar oracles, determinism."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -180,7 +182,6 @@ def _fortran(rng, shape):
 
 
 MATMUL_CHUNK = kernels._MATMUL_CHUNK
-MATVEC_MAX_ROWS = kernels._MATVEC_MAX_ROWS
 
 
 @pytest.mark.parametrize(
@@ -193,16 +194,16 @@ MATVEC_MAX_ROWS = kernels._MATVEC_MAX_ROWS
         (9, 1, 7),
         (12, 6, 1),
         (1, 8, 5),
-        (MATMUL_CHUNK // 8, 3, 17),  # column chunks of 8, 8 and 1
-        (MATMUL_CHUNK + 1, 2, 2),  # column chunks of one column
-        # width-1 outputs: one accumulate per row chunk of the terms
+        (MATMUL_CHUNK // 8, 3, 17),  # rank-1 updates, column chunks 8, 8, 1
+        (MATMUL_CHUNK + 1, 2, 2),  # rank-1 updates, column chunks of 1
+        # width-1 outputs
         (7, 2, 1),
         (40, 200, 1),
         (MATMUL_CHUNK // 200 - 1, 200, 1),
-        (MATMUL_CHUNK // 200, 200, 1),  # one full row chunk
-        (MATMUL_CHUNK // 200 + 1, 200, 1),  # a second chunk of one row
-        (MATVEC_MAX_ROWS, 3, 1),
-        (MATVEC_MAX_ROWS + 1, 3, 1),  # tall: back to rank-1 updates
+        (MATMUL_CHUNK // 200, 200, 1),
+        (MATMUL_CHUNK // 200 + 1, 200, 1),
+        (512, 3, 1),
+        (513, 3, 1),
     ],
 )
 def test_matmul_numpy_matches_scalar_source(rng, shape):
@@ -245,6 +246,113 @@ def test_matmul_numpy_matches_scalar_source_on_transposed_views(rng):
     assert np.all(expected == 2.0**53)
 
 
+def _product_cases(rng, m, kk, n):
+    # Gaussian operands; operands whose every entry is a cancelling sum (one
+    # huge product then small ones, which only a strictly ascending sum
+    # drops); and operands whose products are all -0.0, whose sum is -0.0
+    # only from the exact identity.
+    scale = 2.0 ** (np.arange(m)[:, None] % 4)
+    signs = np.where(np.arange(kk) % 2 == 0, 1.0, -1.0)
+    return [
+        (rng.standard_normal((m, kk)), rng.standard_normal((kk, n))),
+        (
+            np.ones((m, kk)) * scale,
+            _cancelling_vector(kk)[:, None] * 2.0 ** (np.arange(n) % 8),
+        ),
+        (np.tile(signs, (m, 1)), np.tile(-0.0 * signs[:, None], (1, n))),
+    ]
+
+
+def _layouts(a, b):
+    # Fortran and C operands, the C ones as transposed views of Fortran
+    # copies, as the projections pass u.T.
+    for left in (np.asfortranarray(a), np.asfortranarray(a.T).T):
+        for right in (np.asfortranarray(b), np.asfortranarray(b.T).T):
+            yield left, right
+
+
+def _terms_per_chunk(m, n):
+    return MATMUL_CHUNK // (m * n)
+
+
+# Output shapes at the boundaries of the chunked sum: one entry (accumulate),
+# one row or column, 2, 7 and 8 entries (accumulate below 8, reduce from 8),
+# and a wide output whose chunks hold the fewest terms that still reduce.
+_BOUNDARY_OUTPUTS = [
+    (1, 1),
+    (1, 2),
+    (2, 1),
+    (1, 7),
+    (7, 1),
+    (1, 8),
+    (8, 1),
+    (2, 4),
+    (1, 17),
+    (17, 1),
+    (3, 5),
+    (64, 64),
+]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["kc-1", "kc", "kc+1"])
+@pytest.mark.parametrize(
+    "out_shape", _BOUNDARY_OUTPUTS, ids=[f"{m}x{n}" for m, n in _BOUNDARY_OUTPUTS]
+)
+def test_matmul_numpy_matches_scalar_source_at_chunk_boundaries(
+    rng, out_shape, extra
+):
+    # K = kc - 1 and kc fill one chunk of terms; kc + 1 carries the sum of a
+    # full chunk into a second chunk of one term.
+    m, n = out_shape
+    kk = _terms_per_chunk(m, n) + extra
+    for a, b in _product_cases(rng, m, kk, n):
+        expected = _run_fill(_matmul_fill, a, b)
+        for left, right in _layouts(a, b):
+            got = _run_fill(kernels._matmul_fill_numpy, left, right)
+            assert got.tobytes() == expected.tobytes()
+    # The last case summed -0.0 terms, the one before dropped every small term.
+    assert np.all(np.signbit(expected)) and np.all(expected == 0.0)
+    a, b = _product_cases(rng, m, kk, n)[1]
+    assert np.all(_run_fill(_matmul_fill, a, b) == a[:, :1] * b[0])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (100, 6, 50),  # 5000 entries, kc = 6: every term in one chunk
+        (100, 7, 50),  # kc = 6 < 8 terms per chunk: rank-1 updates
+        (100, 60, 50),
+        (64, 9, 65),  # 4160 entries, kc = 7: rank-1 updates
+        (64, 8, 64),  # 4096 entries, kc = 8: chunks of terms
+        (64, 9, 64),
+        (200, 3, 200),  # more entries than one chunk: rank-1 updates
+    ],
+)
+def test_matmul_numpy_matches_scalar_source_on_large_outputs(rng, shape):
+    m, kk, n = shape
+    for a, b in _product_cases(rng, m, kk, n):
+        expected = _run_fill(_matmul_fill, a, b)
+        for left, right in _layouts(a, b):
+            got = _run_fill(kernels._matmul_fill_numpy, left, right)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_matmul_numpy_cancelling_case_shows_the_order():
+    # The cancelling operands above check the order only if a pairwise sum,
+    # numpy's sum along a contiguous axis, gets them wrong.
+    kk = _terms_per_chunk(8, 1) + 1
+    a, b = _product_cases(np.random.default_rng(0), 8, kk, 1)[1]
+    expected = _run_fill(_matmul_fill, a, b)
+    pairwise = np.sum(a * b[:, 0], axis=1)
+    assert np.all(pairwise != expected[:, 0])
+
+
+def test_matmul_numpy_rejects_a_c_ordered_output(rng):
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        kernels._matmul_fill_numpy(a, b, np.empty((3, 2)))
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 1000])
 def test_dot_and_sumsq_numpy_match_scalar_source(rng, length):
     x = rng.standard_normal(length)
@@ -275,8 +383,10 @@ def _assert_householder_matches_scalar_source(b):
     assert r3.tobytes() == r1.tobytes()
 
 
-ROW_CHUNK = kernels._ROW_CHUNK
-REDUCE_MIN_WIDTH = kernels._REDUCE_MIN_WIDTH
+# Panel heights around 256 and 512 rows: a 128-wide reflector product
+# (1x128 output) sums chunks of 256 rows.
+ROW_CHUNK = MATMUL_CHUNK // 128
+REDUCE_MIN_SIZE = kernels._REDUCE_MIN_SIZE
 
 
 @pytest.mark.parametrize(
@@ -314,9 +424,9 @@ def test_householder_numpy_matches_scalar_source_on_zero_column(rng, zero_col):
 def test_householder_numpy_keeps_row_order_across_chunks():
     # The first reflector is all ones below its head and column 1 is one huge
     # entry followed by ones, so the reflector product for column 1 is a
-    # cancelling sum over three chunks: only a strictly ascending row sum,
-    # carried across chunks, drops every one.
-    m = 2 * ROW_CHUNK + 1
+    # cancelling sum over three chunks of a 2-wide product: only a strictly
+    # ascending row sum, carried across chunks, drops every one.
+    m = 2 * (MATMUL_CHUNK // 2) + 1
     b = np.ones((m, 2), order="F")
     b[:, 1] = _cancelling_vector(m)
     _assert_householder_matches_scalar_source(b)
@@ -341,7 +451,7 @@ def _row_sum_cases(rng, height, width):
     [1, 8, 9, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1],
 )
 @pytest.mark.parametrize(
-    "width", [1, 2, 3, REDUCE_MIN_WIDTH - 1, REDUCE_MIN_WIDTH, 17]
+    "width", [1, 2, 3, REDUCE_MIN_SIZE - 1, REDUCE_MIN_SIZE, 17]
 )
 def test_weighted_row_sum_numpy_matches_scalar_source(rng, width, height, order):
     for x, y in _row_sum_cases(rng, height, width):
@@ -387,18 +497,87 @@ _ENTRIES = st.one_of(
 def _panels(draw):
     m = draw(st.integers(1, 40))
     # Widths up to 12 reach both the accumulate and the reduce row sums.
-    p = draw(st.integers(1, min(m, REDUCE_MIN_WIDTH + 4)))
+    p = draw(st.integers(1, min(m, REDUCE_MIN_SIZE + 4)))
     b = draw(hnp.arrays(np.float64, (m, p), elements=_ENTRIES))
     return np.array(b, order=draw(st.sampled_from("CF")))
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+# Shrinking a counterexample against the pure-Python oracles takes minutes,
+# so a failure reports the unshrunk example: the same examples are drawn
+# and fail either way.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+@settings(
+    derandomize=True,
+    max_examples=50,
+    deadline=None,
+    database=None,
+    phases=_NO_SHRINK,
+)
 @given(_panels())
 def test_householder_qr_matches_scalar_source_property(b):
     q1, r1 = _run_householder(_householder_fill, b)
     q2, r2 = kernels.householder_qr(b)
     assert q2.tobytes() == q1.tobytes()
     assert r2.tobytes() == r1.tobytes()
+
+
+def _operand(draw, shape):
+    # A Fortran array, or a C-ordered transposed view of one (as u.T).
+    x = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    if draw(st.booleans()):
+        return np.asfortranarray(x)
+    return np.asfortranarray(x.T).T
+
+
+@st.composite
+def _products(draw):
+    m, kk, n = (draw(st.integers(1, hi)) for hi in (9, 24, 9))
+    return _operand(draw, (m, kk)), _operand(draw, (kk, n))
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    phases=_NO_SHRINK,
+)
+@given(_products())
+def test_matmul_matches_scalar_source_property(operands):
+    a, b = operands
+    expected = pure_python_matmul(a, b)
+    assert kernels.matmul(a, b).tobytes() == expected.tobytes()
+
+
+# Calls that sum pairwise or through BLAS, in a different order from the
+# scalar loops: kernels.py must not use them, whatever their arguments.
+_REORDERING_CALLS = {"sum", "dot", "matmul", "einsum"}
+
+
+def _reordering_sums(source):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _REORDERING_CALLS:
+            found.append((node.lineno, node.attr))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found.append((node.lineno, "@"))
+    return sorted(found)
+
+
+def test_kernels_source_avoids_reordering_sums():
+    assert _reordering_sums(Path(kernels.__file__).read_text()) == []
+
+
+def test_reordering_sum_check_sees_each_form():
+    source = (
+        "np.sum(x)\nx.sum(axis=0)\nnp.dot(x, y)\nnp.matmul(x, y)\n"
+        "np.einsum('i,i', x, y)\nx @ y\nx @= y\nnp.add.reduce(x)\n"
+    )
+    assert [line for line, _ in _reordering_sums(source)] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_import_leaves_numba_out():
