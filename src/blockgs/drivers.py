@@ -20,8 +20,11 @@ orthogonality defect of the finished ``Q`` on the last record.
 
 The first block always goes through :func:`local_qr`, so a zero or
 overflowing first column fails its rank test.  ``mgs`` keeps its own loop:
-it subtracts one basis column at a time, which is a different algorithm,
-not a different step.  ``_project`` is not called here; it stays
+it projects each column against one basis column at a time, which is a
+different algorithm, not a different step.  It runs right-looking, removing
+each new basis column from all later columns at once; that applies the same
+rounded operations in the same order as the left-looking loop, so the
+factors are bitwise the same.  ``_project`` is not called here; it stays
 imported, as do the steps, because the benchmark's tracer
 (``perfbench/layers.py``) wraps these module bindings.
 
@@ -218,28 +221,38 @@ def cgs(a) -> FactorizationTrace:
 
 
 def mgs(a) -> FactorizationTrace:
-    """One-pass modified Gram-Schmidt baseline.
+    """One-pass modified Gram-Schmidt baseline, right-looking (row-oriented).
+
+    Once column k is normalized, its projection is removed from all later
+    columns at once: the row ``r[k-1, k:]`` is one :func:`kernels.dot` of
+    ``q[:, k-1]`` with the trailing block, then a broadcast subtraction.
+    Each later column still receives its projections one basis column at a
+    time, in ascending order, and each dot product sums its rows in the same
+    order, so the factors and records are bitwise those of the left-looking
+    loop, which projects column k against every earlier basis column in turn.
 
     A column that vanishes raises :class:`RankDeficientError` naming it.
     """
     a = _validate_input(a)
     m, n = a.shape
 
-    q = np.zeros((m, n), order="F")
+    q = np.array(a, order="F", copy=True)
     r = np.zeros((n, n), order="F")
+    # Subtract in column chunks of at most kernels._MATMUL_CHUNK entries, so
+    # the products' temporary stays cache-sized, not m-by-n.
+    width = max(1, kernels._MATMUL_CHUNK // m)
     records = []
     for k in range(1, n + 1):
-        v = np.array(a[:, k - 1 : k], order="F", copy=True)
-        for i in range(k - 1):
-            rik = kernels.dot(q[:, i], v[:, 0])
-            r[i, k - 1] = rik
-            v -= q[:, i : i + 1] * rik
         try:
-            res = local_qr(v)
+            res = local_qr(q[:, k - 1 : k])
         except RankDeficientError as exc:
             raise _wrap_breakdown(exc, "column", k) from exc
         q[:, k - 1 : k] = res.q
         r[k - 1, k - 1] = res.r[0, 0]
+        if k < n:
+            r[k - 1, k:] = kernels.dot(q[:, k - 1], q[:, k:])
+            for lo in range(k, n, width):
+                q[:, lo : lo + width] -= q[:, k - 1 : k] * r[k - 1, lo : lo + width]
         records.append(
             BlockRecord(
                 index=k,

@@ -15,11 +15,12 @@ its terms one index at a time, in ascending order, onto the exact identity
 ``np.add.accumulate`` instead, which adds one row at a time whatever the
 layout; outputs too large for a chunk of 8 indices keep one rank-1 update per
 inner index.  The Householder reflector products ``v^T Y`` are the one-row
-case of the same product.  Dot products and norms are ``np.add.accumulate``,
-which sums strictly left to right.  Reduced along a contiguous axis, or with
-one entry per row, numpy would sum pairwise, and BLAS products reorder the
-sum, so ``np.sum``, ``np.dot``, ``np.matmul``, ``np.einsum`` and ``@`` round
-differently and are never used.
+case of the same product, and so are dot products: ``dot(x, Y)`` is the row
+``x^T Y``, and a 1-D ``y`` its one-column case, a 1x1 output that accumulates.
+Norms are ``np.add.accumulate``, which sums strictly left to right.  Reduced
+along a contiguous axis, or with one entry per row, numpy would sum pairwise,
+and BLAS products reorder the sum, so ``np.sum``, ``np.dot``, ``np.matmul``,
+``np.einsum`` and ``@`` round differently and are never used.
 """
 
 from __future__ import annotations
@@ -103,12 +104,8 @@ def _matmul_fill_numpy(a, b, out):
 
 
 # ---------------------------------------------------------------------------
-# dot product and column norm
+# column norm
 # ---------------------------------------------------------------------------
-
-
-def _dot_numpy(x, y):
-    return np.add.accumulate(x * y)[-1]
 
 
 def _sumsq_numpy(x):
@@ -168,9 +165,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Ascending-index dot product of two 1-D float64 arrays."""
-    return float(_dot_numpy(x, y))
+def dot(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Ascending-index dot products of a 1-D float64 array x with y.
+
+    A 1-D y gives the float ``x^T y``; an m-by-n y gives the length-n row
+    ``x^T Y`` of its columns' dot products, each summed in the same order.
+    """
+    if y.ndim == 1:
+        return float(_weighted_row_sum_numpy(x, y[:, None])[0])
+    return _weighted_row_sum_numpy(x, y)
 
 
 def vec_norm(x: np.ndarray) -> float:

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import blockgs as bg
-from blockgs import drivers
+from blockgs import drivers, kernels
 from blockgs.errors import GramSchmidtBreakdownError, RankDeficientError
 
 
@@ -284,6 +287,138 @@ def test_zero_later_column_is_rank_deficient(method):
     a[:, 2] = 0.0
     with pytest.raises(RankDeficientError, match="column 3: column norm 0"):
         getattr(bg, method)(a)
+
+
+def _mgs_left_looking(a):
+    """The left-looking modified Gram-Schmidt loop: the oracle for ``mgs``.
+
+    Column k is projected against q[:, 0], ..., q[:, k-2] in turn, each
+    coefficient a left-to-right sum, then normalized.
+    """
+    a = drivers._validate_input(a)
+    m, n = a.shape
+    q = np.zeros((m, n), order="F")
+    r = np.zeros((n, n), order="F")
+    records = []
+    for k in range(1, n + 1):
+        v = np.array(a[:, k - 1 : k], order="F", copy=True)
+        for i in range(k - 1):
+            rik = float(np.add.accumulate(q[:, i] * v[:, 0])[-1])
+            r[i, k - 1] = rik
+            v -= q[:, i : i + 1] * rik
+        try:
+            res = bg.local_qr(v)
+        except RankDeficientError as exc:
+            raise drivers._wrap_breakdown(exc, "column", k) from exc
+        q[:, k - 1 : k] = res.q
+        r[k - 1, k - 1] = res.r[0, 0]
+        records.append(
+            drivers.BlockRecord(
+                index=k,
+                t_prev=k - 1,
+                width=1,
+                block_norm=kernels.vec_norm(a[:, k - 1]),
+                rkk_inv_norm=1.0 / res.r[0, 0],
+                r2_inv_norm=None,
+                defect=bg.orthogonality_defect(q) if k == n else None,
+            )
+        )
+    return bg.FactorizationTrace(bg.QRFactorization(q, r), tuple(records))
+
+
+def _mgs_inputs():
+    rng = np.random.default_rng(30)
+    cases = {
+        "9x1": rng.standard_normal((9, 1)),
+        "40x40": rng.standard_normal((40, 40)),
+        "60x10": rng.standard_normal((60, 10)),
+        "2000x65": bg.gen_svd_spectrum(2000, 65, kappa=1e6, seed=31),
+        "integer": rng.integers(-9, 10, (50, 20)).astype(float),
+        "eye": np.eye(30, 12),
+    }
+    for n in (50, 65, 80):
+        for kappa in (1.0, 1e4, 1e8, 1e12):
+            cases[f"200x{n}-kappa{kappa:g}"] = bg.gen_svd_spectrum(200, n, kappa=kappa, seed=n)
+    return cases
+
+
+_MGS_INPUTS = _mgs_inputs()
+
+
+@pytest.mark.parametrize("a", _MGS_INPUTS.values(), ids=_MGS_INPUTS.keys())
+def test_mgs_is_the_left_looking_loop_bitwise(a):
+    _assert_traces_equal_bitwise(bg.mgs(a), _mgs_left_looking(a))
+
+
+# Small integers, both signed zeros, and integers scaled by 2^±40: exact
+# cancellations make zero and tiny columns, so both paths of mgs are drawn.
+_ENTRIES = st.one_of(
+    st.integers(-8, 8).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda k, e: k * 2.0**e, st.integers(-8, 8), st.sampled_from([-40, 40])),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tall_matrices(draw):
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, min(m, 12)))
+    return draw(hnp.arrays(np.float64, (m, n), elements=_ENTRIES))
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(_tall_matrices())
+def test_mgs_is_the_left_looking_loop_property(a):
+    try:
+        expected = _mgs_left_looking(a)
+    except RankDeficientError as exc:
+        with pytest.raises(RankDeficientError) as info:
+            bg.mgs(a)
+        assert (str(info.value), info.value.index) == (str(exc), exc.index)
+        assert np.float64(info.value.magnitude).tobytes() == np.float64(exc.magnitude).tobytes()
+    else:
+        _assert_traces_equal_bitwise(bg.mgs(a), expected)
+
+
+@pytest.mark.parametrize("column", [0, 6])
+def test_mgs_zero_column_fails_with_the_left_looking_error(column):
+    # Later columns are already updated when an earlier one fails: the
+    # failure must be the same error, with no warning on the way.
+    a = np.eye(30, 12)
+    a[:, column] = 0.0
+    message = f"column {column + 1}: column norm 0 fails the rank test"
+    with pytest.raises(RankDeficientError) as expected:
+        _mgs_left_looking(a)
+    assert str(expected.value) == message
+    with np.errstate(all="raise"):
+        with pytest.raises(RankDeficientError) as info:
+            bg.mgs(a)
+    assert str(info.value) == message
+    assert (info.value.index, info.value.magnitude) == (0, 0.0)
+
+
+def test_mgs_earlier_failure_wins_over_a_later_overflow():
+    # Column 3's projection overflows, which the left-looking loop never
+    # computes: column 2 fails first.  The right-looking loop overflows
+    # (and warns) on the way, then raises the same error.
+    a = np.ones((4, 3))
+    a[:, 1] = 0.0
+    a[:, 2] = 1e308
+    with pytest.raises(RankDeficientError) as expected:
+        _mgs_left_looking(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RankDeficientError) as info:
+            bg.mgs(a)
+    assert str(info.value) == str(expected.value) == (
+        "column 2: column norm 0 fails the rank test"
+    )
 
 
 @pytest.mark.parametrize("method", ["cgs", "cgs2", "mgs", "bcgs", "bcgs2"])

@@ -357,9 +357,8 @@ def test_matmul_numpy_rejects_a_c_ordered_output(rng):
 def test_dot_and_sumsq_numpy_match_scalar_source(rng, length):
     x = rng.standard_normal(length)
     y = rng.standard_normal(length)
-    assert kernels._dot_numpy(x, y) == _dot_py(x, y)
-    assert kernels._sumsq_numpy(x) == _sumsq_py(x)
     assert kernels.dot(x, y) == _dot_py(x, y)
+    assert kernels._sumsq_numpy(x) == _sumsq_py(x)
     assert kernels.vec_norm(x) == np.sqrt(_sumsq_py(x))
 
 
@@ -367,8 +366,34 @@ def test_dot_numpy_keeps_left_to_right_order():
     x = _cancelling_vector(1000)
     y = np.ones(1000)
     assert np.sum(x * y) != _dot_py(x, y)
-    assert kernels._dot_numpy(x, y) == _dot_py(x, y) == 2.0**53
+    assert kernels.dot(x, y) == _dot_py(x, y) == 2.0**53
     assert kernels._sumsq_numpy(np.sqrt(x)) == _sumsq_py(np.sqrt(x))
+
+
+def _dot_operands(kind, height, width):
+    rng = np.random.default_rng(height * 32 + width)
+    if kind == "gaussian":
+        return rng.standard_normal(height), _fortran(rng, (height, width))
+    if kind == "cancelling":
+        # Left to right every one is lost against 2^53; pairwise, some are not.
+        return _cancelling_vector(height), np.ones((height, width), order="F")
+    # Every product is -0.0, so only a sum seeded with a term or with -0.0
+    # keeps the sign.
+    return np.ones(height), np.full((height, width), -0.0, order="F")
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "cancelling", "negative-zero"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 17])
+def test_dot_of_a_matrix_is_the_row_of_column_dots(kind, offset, width):
+    # Heights around one chunk of terms: one chunk, and a carried sum.
+    height = MATMUL_CHUNK // width + offset
+    x, y = _dot_operands(kind, height, width)
+    row = kernels.dot(x, y)
+    assert row.shape == (width,)
+    expected = np.array([_dot_py(x, y[:, j]) for j in range(width)])
+    assert row.tobytes() == expected.tobytes()
+    assert np.float64(kernels.dot(x, y[:, 0])).tobytes() == expected[:1].tobytes()
 
 
 def _assert_householder_matches_scalar_source(b):
