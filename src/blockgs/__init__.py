@@ -57,7 +57,7 @@ from .harness import (
 from .kernels import backend
 from .localqr import LocalQrResult, local_qr
 from .mmio import read_matrix_market, write_matrix_market
-from .steps import BlockStepResult, Cgs2StepResult, block_cgs2_step, block_cgs_step, cgs2_step
+from .steps import BlockStepResult, block_cgs2_step, block_cgs_step, cgs2_step
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "BlockRecord",
     "BlockStepResult",
     "BoundContext",
-    "Cgs2StepResult",
     "ExperimentConfig",
     "FactorizationTrace",
     "GramSchmidtBreakdownError",

@@ -21,7 +21,7 @@ from .errors import SpectralNormError
 MACHINE_UNIT = 2.0**-53
 
 
-def as_matrix(a, *, require_finite: bool = False) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D float64 column-major array.
 
     Column-major slices of existing matrices pass through without a copy.
@@ -31,8 +31,6 @@ def as_matrix(a, *, require_finite: bool = False) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {out.shape}")
-    if require_finite and not np.isfinite(out).all():
-        raise ValueError("matrix contains non-finite entries")
     return out
 
 

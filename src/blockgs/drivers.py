@@ -13,10 +13,11 @@ orthogonality defect of the finished ``Q`` on the last record.
 * ``bcgs2`` passes :func:`block_cgs2_step` and ``bcgs`` passes
   :func:`block_cgs_step`, over the caller's partition;
 * ``cgs`` passes :func:`block_cgs_step` over the all-ones partition;
-* ``cgs2`` passes :func:`cgs2_step`, recast as a block step result, over the
-  all-ones partition.  ``cgs2_step`` is kept as an independent scalar path,
-  so ``cgs2`` equal to ``bcgs2`` with the all-ones partition compares two
-  implementations and does not hold by construction.
+* ``cgs2`` passes :func:`cgs2_step` over the all-ones partition.  Every
+  step returns a :class:`BlockStepResult`; ``cgs2_step``'s is the width-1
+  case, computed by its own scalar code, so ``cgs2`` equal to ``bcgs2`` with
+  the all-ones partition compares two implementations and does not hold by
+  construction.
 
 The first block always goes through :func:`local_qr`, so a zero or
 overflowing first column fails its rank test.  ``mgs`` keeps its own loop:
@@ -24,17 +25,16 @@ it projects each column against one basis column at a time, which is a
 different algorithm, not a different step.  It runs right-looking, removing
 each new basis column from all later columns at once; that applies the same
 rounded operations in the same order as the left-looking loop, so the
-factors are bitwise the same.  ``_project`` is not called here; it stays
-imported, as do the steps, because the benchmark's tracer
-(``perfbench/layers.py``) wraps these module bindings.
+factors are bitwise the same.  Both loops build their audit records with
+:func:`_record`.  ``_project`` is not called here; it stays imported because
+the benchmark's tracer (``perfbench/layers.py``) wraps these module bindings.
 
 The defect ``|I - Q^T Q|`` is taken once, at the last block, as
 :func:`orthogonality_defect` of the finished ``Q``: the paper bounds the
 finished factor's loss of orthogonality, and the stability checks read only
 the block and inverse norms.  It stays inside the driver call, so a timed
 factorization includes it.  The defect after block k, if wanted, is
-``orthogonality_defect(trace.q[:, :hi])``.  Width-1 blocks take their record
-norms without an SVD: the column norm and the reciprocal of the diagonal.
+``orthogonality_defect(trace.q[:, :hi])``.
 
 Drivers record and never abort on a failed stability check; they only raise
 on non-finite input (:class:`SpectralNormError`) and on hard numerical
@@ -60,7 +60,7 @@ from .core import (
 )
 from .errors import GramSchmidtBreakdownError, RankDeficientError
 from .localqr import local_qr
-from .steps import BlockStepResult, _project, block_cgs2_step, block_cgs_step, cgs2_step
+from .steps import _project, block_cgs2_step, block_cgs_step, cgs2_step
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,31 @@ def _wrap_breakdown(exc, kind: str, index: int):
     return GramSchmidtBreakdownError(f"{kind} {index}: {exc}")
 
 
+def _record(index: int, t_prev: int, panel, r_kk, r2_inv_norm, q) -> BlockRecord:
+    """Audit record of ``panel``, whose diagonal block of ``r`` is ``r_kk``.
+
+    Width 1 takes no SVD: the column norm and ``1 / r_kk``.  Only the last
+    block takes the defect of ``q``.
+    """
+    width = panel.shape[1]
+    if width == 1:
+        block_norm = kernels.vec_norm(panel[:, 0])
+        rkk_inv_norm = 1.0 / r_kk[0, 0]
+    else:
+        block_norm = spectral_norm(panel)
+        rkk_inv_norm = spectral_norm(upper_triangular_inverse(r_kk))
+    last = t_prev + width == q.shape[1]
+    return BlockRecord(
+        index=index,
+        t_prev=t_prev,
+        width=width,
+        block_norm=block_norm,
+        rkk_inv_norm=rkk_inv_norm,
+        r2_inv_norm=r2_inv_norm,
+        defect=orthogonality_defect(q) if last else None,
+    )
+
+
 def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
     """The block Gram-Schmidt loop shared by ``cgs``, ``cgs2``, ``bcgs``, ``bcgs2``.
 
@@ -157,35 +182,9 @@ def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
         r[lo:hi, lo:hi] = res.r
         if k > 1:
             r[:lo, lo:hi] = res.s
-        if hi - lo == 1:
-            block_norm = kernels.vec_norm(panel[:, 0])
-            rkk_inv_norm = 1.0 / res.r[0, 0]
-        else:
-            block_norm = spectral_norm(panel)
-            rkk_inv_norm = spectral_norm(upper_triangular_inverse(res.r))
-        records.append(
-            BlockRecord(
-                index=k,
-                t_prev=lo,
-                width=hi - lo,
-                block_norm=block_norm,
-                rkk_inv_norm=rkk_inv_norm,
-                r2_inv_norm=None if k == 1 else res.r2_inv_norm,
-                defect=orthogonality_defect(q) if hi == n else None,
-            )
-        )
+        r2_inv_norm = None if k == 1 else res.r2_inv_norm
+        records.append(_record(k, lo, panel, res.r, r2_inv_norm, q))
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
-
-
-def _cgs2_column_step(u, b) -> BlockStepResult:
-    """:func:`cgs2_step` with its result recast as a width-1 block step's."""
-    res = cgs2_step(u, b)
-    return BlockStepResult(
-        q=res.q_b,
-        r=np.full((1, 1), res.r_b, order="F"),
-        s=res.s_b,
-        r2_inv_norm=1.0 / res.r2,
-    )
 
 
 def bcgs2(a, blocks) -> FactorizationTrace:
@@ -212,7 +211,7 @@ def cgs2(a) -> FactorizationTrace:
     column raises :class:`RankDeficientError`; a later column that vanishes
     raises :class:`GramSchmidtBreakdownError`; both name the column.
     """
-    return _gram_schmidt(a, None, _cgs2_column_step, "column")
+    return _gram_schmidt(a, None, cgs2_step, "column")
 
 
 def cgs(a) -> FactorizationTrace:
@@ -253,15 +252,5 @@ def mgs(a) -> FactorizationTrace:
             r[k - 1, k:] = kernels.dot(q[:, k - 1], q[:, k:])
             for lo in range(k, n, width):
                 q[:, lo : lo + width] -= q[:, k - 1 : k] * r[k - 1, lo : lo + width]
-        records.append(
-            BlockRecord(
-                index=k,
-                t_prev=k - 1,
-                width=1,
-                block_norm=kernels.vec_norm(a[:, k - 1]),
-                rkk_inv_norm=1.0 / res.r[0, 0],
-                r2_inv_norm=None,
-                defect=orthogonality_defect(q) if k == n else None,
-            )
-        )
+        records.append(_record(k, k - 1, a[:, k - 1 : k], res.r, None, q))
     return FactorizationTrace(QRFactorization(q, r), tuple(records))

@@ -33,7 +33,7 @@ def gen_svd_spectrum(m: int, n: int, kappa: float, seed: int) -> np.ndarray:
     else:
         sigma = kappa ** (-np.arange(n) / (n - 1.0))
     a = kernels.matmul(np.asfortranarray(u * sigma), v.T)
-    return as_matrix(a, require_finite=True)
+    return as_matrix(a)
 
 
 def gen_lauchli(n: int, eps_val: float) -> np.ndarray:
@@ -49,7 +49,7 @@ def gen_lauchli(n: int, eps_val: float) -> np.ndarray:
     a = np.zeros((n + 1, n), order="F")
     a[0, :] = 1.0
     a[1:, :] = eps_val * np.eye(n)
-    return as_matrix(a, require_finite=True)
+    return as_matrix(a)
 
 
 def gen_hilbert_like(m: int, n: int) -> np.ndarray:
@@ -58,4 +58,4 @@ def gen_hilbert_like(m: int, n: int) -> np.ndarray:
         raise ValueError(f"need positive dimensions, got m={m}, n={n}")
     i = np.arange(1, m + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
-    return as_matrix(1.0 / (i + j - 1.0), require_finite=True)
+    return as_matrix(1.0 / (i + j - 1.0))

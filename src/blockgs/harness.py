@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -231,13 +231,16 @@ def verify_report_contracts(rows: list[ReportRow], d1: float = 1.0) -> None:
             )
 
 
-_CSV_HEADER = (
-    "method,m,n,p,kappa_measured,defect,rel_residual,assumptions_passed,wall_time_seconds"
-)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+# One formatter and one parser per ReportRow field type; with postponed
+# annotations the field types are their names.
+_FORMATTERS = {"str": str, "int": str, "float": _fmt, "bool": lambda v: "true" if v else "false"}
+_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
+_CSV_FIELDS = tuple((f.name, f.type) for f in fields(ReportRow))
+_CSV_HEADER = ",".join(name for name, _ in _CSV_FIELDS)
 
 
 def emit_csv(rows: list[ReportRow], path) -> None:
@@ -245,12 +248,8 @@ def emit_csv(rows: list[ReportRow], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_CSV_HEADER + "\n")
         for row in rows:
-            fh.write(
-                f"{row.method},{row.m},{row.n},{row.p},{_fmt(row.kappa_measured)},"
-                f"{_fmt(row.defect)},{_fmt(row.rel_residual)},"
-                f"{'true' if row.assumptions_passed else 'false'},"
-                f"{_fmt(row.wall_time_seconds)}\n"
-            )
+            cells = (_FORMATTERS[kind](getattr(row, name)) for name, kind in _CSV_FIELDS)
+            fh.write(",".join(cells) + "\n")
 
 
 def parse_csv(path) -> list[ReportRow]:
@@ -265,19 +264,11 @@ def parse_csv(path) -> list[ReportRow]:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 9:
+            if len(parts) != len(_CSV_FIELDS):
                 raise ValueError(f"{path}: bad row {line!r}")
             rows.append(
                 ReportRow(
-                    method=parts[0],
-                    m=int(parts[1]),
-                    n=int(parts[2]),
-                    p=int(parts[3]),
-                    kappa_measured=float(parts[4]),
-                    defect=float(parts[5]),
-                    rel_residual=float(parts[6]),
-                    assumptions_passed=parts[7] == "true",
-                    wall_time_seconds=float(parts[8]),
+                    *(_PARSERS[kind](text) for (_, kind), text in zip(_CSV_FIELDS, parts))
                 )
             )
     return rows

@@ -18,7 +18,9 @@ _ARRAY_HEADER = "%%MatrixMarket matrix array real general"
 
 def write_matrix_market(path, a) -> None:
     """Write ``a`` in MatrixMarket array format with 17 significant digits."""
-    a = as_matrix(a, require_finite=True)
+    a = as_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     m, n = a.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_ARRAY_HEADER + "\n")

@@ -1,17 +1,14 @@
 """Single orthogonalization steps: scalar two-pass, block one-pass, block two-pass.
 
 Each step takes a near left-orthogonal basis ``u`` and new column(s) ``b``
-and returns the orthonormalized panel together with the coefficients that
-express ``b`` in terms of the enlarged basis, so that
-``b = u @ s + q @ r`` up to roundoff.
-
-The drivers' one block loop takes a step that returns a
-:class:`BlockStepResult`: ``bcgs2`` uses :func:`block_cgs2_step`, ``bcgs``
-and ``cgs`` use :func:`block_cgs_step`, and ``cgs2`` uses :func:`cgs2_step`
-with its result recast.  The scalar step and the width-1 block step are
-separate code but execute the same floating-point operations, so ``cgs2``
-and ``bcgs2`` with the all-ones partition agree bitwise by computation, not
-by sharing code.
+and returns a :class:`BlockStepResult`: the orthonormalized panel together
+with the coefficients that express ``b`` in terms of the enlarged basis, so
+that ``b = u @ s + q @ r`` up to roundoff.  The drivers' one block loop takes
+any of them: ``bcgs2`` uses :func:`block_cgs2_step`, ``bcgs`` and ``cgs`` use
+:func:`block_cgs_step`, and ``cgs2`` uses :func:`cgs2_step`, whose result is
+the width-1 case of :func:`block_cgs2_step`'s.  The scalar step and the
+width-1 block step are separate code but execute the same floating-point
+operations, so the two agree bitwise by computation, not by sharing code.
 """
 
 from __future__ import annotations
@@ -24,21 +21,6 @@ from . import kernels
 from .core import as_matrix, spectral_norm, upper_triangular_inverse
 from .errors import GramSchmidtBreakdownError
 from .localqr import local_qr
-
-
-@dataclass(frozen=True)
-class Cgs2StepResult:
-    """New unit column, its diagonal coefficient, and the basis coefficients.
-
-    ``r1`` and ``r2`` are the first- and second-pass normalization factors,
-    kept for the per-column stability audit.
-    """
-
-    q_b: np.ndarray
-    r_b: float
-    s_b: np.ndarray
-    r1: float
-    r2: float
 
 
 @dataclass(frozen=True)
@@ -79,14 +61,16 @@ def _project(u, b):
     return s, y
 
 
-def cgs2_step(u, b) -> Cgs2StepResult:
+def cgs2_step(u, b) -> BlockStepResult:
     """Orthogonalize one column against ``u``, twice.
 
     ``u`` is m-by-t with orthonormal-to-roundoff columns (the caller's
     responsibility), ``b`` a single column.  Two projection passes are always
-    performed.  Raises GramSchmidtBreakdownError when either pass leaves an
-    exactly zero remainder, i.e. ``b`` lies in the span of ``u`` to working
-    precision.
+    performed.  The result is the width-1 block step's: ``r = [[r2 * r1]]``,
+    ``s = s1 + s2 * r1``, the pass norms as 1-by-1 ``r1`` and ``r2``, and
+    ``r2_inv_norm = 1 / r2``.  Raises GramSchmidtBreakdownError when either
+    pass leaves an exactly zero remainder, i.e. ``b`` lies in the span of
+    ``u`` to working precision.
     """
     u, b = _validate_pair(u, b)
     if b.shape[1] != 1:
@@ -105,10 +89,14 @@ def cgs2_step(u, b) -> Cgs2StepResult:
         raise GramSchmidtBreakdownError(
             "second normalization failed: the reorthogonalized column vanished"
         )
-    q_b = y2 / r2
-    s_b = s1 + s2 * r1
-    r_b = r2 * r1
-    return Cgs2StepResult(q_b=q_b, r_b=r_b, s_b=s_b, r1=r1, r2=r2)
+    return BlockStepResult(
+        q=y2 / r2,
+        r=np.asfortranarray([[r2 * r1]]),
+        s=s1 + s2 * r1,
+        r1=np.asfortranarray([[r1]]),
+        r2=np.asfortranarray([[r2]]),
+        r2_inv_norm=1.0 / r2,
+    )
 
 
 def block_cgs_step(u, b) -> BlockStepResult:

@@ -204,5 +204,3 @@ def test_as_matrix_rejects_non_2d():
         bg.as_matrix(np.ones(3))
     with pytest.raises(ValueError):
         bg.as_matrix(np.ones((0, 2)))
-    with pytest.raises(ValueError, match="non-finite"):
-        bg.as_matrix([[np.nan, 1.0]], require_finite=True)

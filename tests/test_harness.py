@@ -1,5 +1,7 @@
 """Harness tests: trial runs, policies, CSV/plot emission, parallelism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,30 @@ class TestEmission:
         path = tmp_path / "out.csv"
         bg.emit_csv(bg.run(_config(trials=1)), path)
         assert path.read_text().splitlines()[0] == _CSV_HEADER
+
+    def test_csv_text_and_errors_are_pinned(self, tmp_path):
+        rows = [
+            bg.ReportRow("bcgs2", 40, 16, 4, 1.5, 1e-16, 2.2250738585072014e-308, True, 0.1),
+            bg.ReportRow("cgs", 9, 8, 1, math.inf, 0.5, -0.0, False, 3e-5),
+        ]
+        path = tmp_path / "out.csv"
+        bg.emit_csv(rows, path)
+        assert path.read_text() == (
+            "method,m,n,p,kappa_measured,defect,rel_residual,assumptions_passed,"
+            "wall_time_seconds\n"
+            "bcgs2,40,16,4,1.5,9.9999999999999998e-17,2.2250738585072014e-308,true,"
+            "0.10000000000000001\n"
+            "cgs,9,8,1,inf,0.5,-0,false,3.0000000000000001e-05\n"
+        )
+        back = bg.parse_csv(path)
+        assert back == rows
+        assert math.copysign(1.0, back[1].rel_residual) == -1.0
+        path.write_text(path.read_text() + "cgs,1,2\n")
+        with pytest.raises(ValueError, match=r"bad row 'cgs,1,2'$"):
+            bg.parse_csv(path)
+        path.write_text("method,m\n")
+        with pytest.raises(ValueError, match=r"unexpected header 'method,m'$"):
+            bg.parse_csv(path)
 
     def test_csv_deterministic_across_runs_modulo_timing(self, tmp_path):
         # Timing is informational; every measured column reproduces exactly.

@@ -1,7 +1,6 @@
 """Kernel-level tests: fixed summation order against scalar oracles, determinism."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -606,7 +605,6 @@ def test_reordering_sum_check_sees_each_form():
 
 
 def test_import_leaves_numba_out():
-    # The former backend switch is set and must have no effect.
     code = (
         "import sys, blockgs; "
         "print('numba' in sys.modules, blockgs.backend())"
@@ -615,7 +613,6 @@ def test_import_leaves_numba_out():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "BLOCKGS_PURE_NUMPY": "0"},
         check=True,
     )
     assert out.stdout.split() == ["False", "numpy"]

@@ -17,25 +17,25 @@ def _e(i, m):
 class TestCgs2Step:
     def test_already_orthogonal_column(self):
         res = bg.cgs2_step(_e(0, 3), _e(1, 3))
-        assert np.array_equal(res.q_b, _e(1, 3))
-        assert res.r_b == 1.0
-        assert np.array_equal(res.s_b, [[0.0]])
+        assert np.array_equal(res.q, _e(1, 3))
+        assert np.array_equal(res.r, [[1.0]])
+        assert np.array_equal(res.s, [[0.0]])
 
     def test_exact_projection(self):
         b = np.asfortranarray([[1.0], [1.0], [0.0]])
         res = bg.cgs2_step(_e(0, 3), b)
-        assert np.array_equal(res.q_b, _e(1, 3))
-        assert res.r_b == 1.0
-        assert np.array_equal(res.s_b, [[1.0]])
+        assert np.array_equal(res.q, _e(1, 3))
+        assert np.array_equal(res.r, [[1.0]])
+        assert np.array_equal(res.s, [[1.0]])
 
     def test_contract_against_orthonormal_panel(self, rng):
         u = random_orthonormal(20, 5, seed=31)
         b = np.asfortranarray(rng.standard_normal((20, 1)))
         res = bg.cgs2_step(u, b)
-        assert bg.spectral_norm(bg.matmul(u.T, res.q_b)) <= 1e-14
-        recon = bg.matmul(u, res.s_b) + res.q_b * res.r_b
+        assert bg.spectral_norm(bg.matmul(u.T, res.q)) <= 1e-14
+        recon = bg.matmul(u, res.s) + bg.matmul(res.q, res.r)
         assert bg.spectral_norm(b - recon) <= 1e-14 * bg.spectral_norm(b)
-        assert abs(np.linalg.norm(res.q_b) - 1.0) <= 4.0 * bg.MACHINE_UNIT
+        assert abs(np.linalg.norm(res.q) - 1.0) <= 4.0 * bg.MACHINE_UNIT
 
     def test_zero_column_breaks_first_pass(self):
         with pytest.raises(GramSchmidtBreakdownError, match="first normalization"):
@@ -44,8 +44,11 @@ class TestCgs2Step:
     def test_result_carries_both_pass_norms(self, rng):
         u = random_orthonormal(12, 3, seed=4)
         res = bg.cgs2_step(u, np.asfortranarray(rng.standard_normal((12, 1))))
-        assert res.r_b == res.r2 * res.r1
-        assert res.r1 > 0.0 and res.r2 > 0.0
+        r1, r2 = res.r1[0, 0], res.r2[0, 0]
+        assert res.r.shape == res.r1.shape == res.r2.shape == (1, 1)
+        assert res.r[0, 0] == r2 * r1
+        assert r1 > 0.0 and r2 > 0.0
+        assert res.r2_inv_norm == 1.0 / r2
 
     def test_multi_column_rejected(self):
         with pytest.raises(ValueError):
@@ -153,10 +156,23 @@ class TestBlockCgs2Step:
             assert bg.spectral_norm(bg.matmul(u.T, two_pass.q)) <= 1e-13
 
     def test_width_one_matches_scalar_step_bitwise(self, rng):
-        u = random_orthonormal(35, 9, seed=6)
-        b = np.asfortranarray(rng.standard_normal((35, 1)))
-        scalar = bg.cgs2_step(u, b)
-        block = bg.block_cgs2_step(u, b)
-        assert block.q.tobytes() == scalar.q_b.tobytes()
-        assert block.s.tobytes() == scalar.s_b.tobytes()
-        assert block.r[0, 0] == scalar.r_b
+        # The scalar step is the width-1 block step, field for field.
+        cases = [(random_orthonormal(35, 9, seed=6), rng.standard_normal((35, 1)))]
+        for m, t, seed in [(3, 1, 1), (50, 1, 2), (200, 40, 3), (200, 79, 4)]:
+            u = random_orthonormal(m, t, seed=seed)
+            cases.append((u, rng.standard_normal((m, 1))))
+            # Nearly inside the range of u: the second pass does real work.
+            near = bg.matmul(u, rng.standard_normal((t, 1)))
+            cases.append((u, near + 1e-9 * rng.standard_normal((m, 1))))
+        cases.append((_e(0, 3), np.asfortranarray([[1.0], [1.0], [0.0]])))
+        for u, b in cases:
+            b = np.asfortranarray(b)
+            scalar = bg.cgs2_step(u, b)
+            block = bg.block_cgs2_step(u, b)
+            for field in ("q", "r", "s", "r1", "r2"):
+                got, want = getattr(scalar, field), getattr(block, field)
+                assert got.shape == want.shape, field
+                assert got.tobytes() == want.tobytes(), field
+            assert np.float64(scalar.r2_inv_norm).tobytes() == np.float64(
+                block.r2_inv_norm
+            ).tobytes()
