@@ -55,9 +55,9 @@ from .harness import (
     verify_report_contracts,
 )
 from .kernels import backend
-from .localqr import LocalQrResult, local_qr
+from .localqr import BlockStepResult, local_qr
 from .mmio import read_matrix_market, write_matrix_market
-from .steps import BlockStepResult, block_cgs2_step, block_cgs_step, cgs2_step
+from .steps import block_cgs2_step, block_cgs_step, cgs2_step
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "ExperimentConfig",
     "FactorizationTrace",
     "GramSchmidtBreakdownError",
-    "LocalQrResult",
     "MACHINE_UNIT",
     "QRFactorization",
     "RankDeficientError",

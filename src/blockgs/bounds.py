@@ -53,7 +53,7 @@ def l1(m: int, p: int, d1: float = 1.0) -> float:
     if p < 1 or m < p:
         raise ValueError(f"need m >= p >= 1, got m={m}, p={p}")
     if p == 1:
-        return max(m + 4.0, 1.0)
+        return m + 4.0
     return d1 * m * p**1.5
 
 

@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientError,
     SpectralNormError,
 )
-from .harness import ExperimentConfig, emit_csv, emit_plotdata, run
+from .harness import METHODS, POLICIES, ExperimentConfig, emit_csv, emit_plotdata, run
 from .mmio import read_matrix_market
 
 _GEN_NAMES = {
@@ -35,11 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
             "variants and record orthogonality and residual measurements."
         ),
     )
-    parser.add_argument(
-        "--method",
-        required=True,
-        choices=["cgs", "mgs", "cgs2", "bcgs", "bcgs2", "householder"],
-    )
+    parser.add_argument("--method", required=True, choices=METHODS)
     parser.add_argument("--m", type=int, help="row count (derived for lauchli/file)")
     parser.add_argument("--n", type=int, help="column count (derived for file)")
     parser.add_argument("--block", type=int, help="uniform block width for bcgs/bcgs2")
@@ -56,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target condition number (for lauchli: perturbation = 1/kappa)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--policy", default="warn", choices=["strict", "warn"])
+    parser.add_argument("--policy", default="warn", choices=POLICIES)
     parser.add_argument("--trials", type=int, default=1)
     parser.add_argument("--csv", required=True, help="output CSV path")
     parser.add_argument("--plot", help="optional plot-data output path")
@@ -85,7 +81,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             blocks = tuple(int(tok) for tok in args.blocks.split(",") if tok)
         except ValueError as exc:
             raise ValueError(f"cannot parse --blocks {args.blocks!r}") from exc
-    config = ExperimentConfig(
+    return ExperimentConfig(
         method=args.method,
         m=m,
         n=n,
@@ -98,9 +94,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         trials=args.trials,
         input_path=args.input,
     )
-    # Fail here, as a usage error, on what run() would otherwise raise.
-    config.partition()
-    return config
 
 
 def main(argv=None) -> int:

@@ -179,8 +179,6 @@ class BlockPartition:
             raise ValueError(f"need n >= 1 and width >= 1, got n={n}, width={width}")
         full, rest = divmod(n, width)
         widths = [width] * full + ([rest] if rest else [])
-        if not widths:
-            widths = [n]
         return cls(tuple(widths))
 
     @classmethod

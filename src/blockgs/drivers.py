@@ -20,7 +20,10 @@ orthogonality defect of the finished ``Q`` on the last record.
   construction.
 
 The first block always goes through :func:`local_qr`, so a zero or
-overflowing first column fails its rank test.  ``mgs`` keeps its own loop:
+overflowing first column fails its rank test.  Its result is a
+:class:`BlockStepResult` too, the step against an empty basis (``s`` is
+0-by-p, no second pass), so the loop writes every block of ``r`` the same
+way.  ``mgs`` keeps its own loop:
 it projects each column against one basis column at a time, which is a
 different algorithm, not a different step.  It runs right-looking, removing
 each new basis column from all later columns at once; that applies the same
@@ -132,19 +135,19 @@ def _wrap_breakdown(exc, kind: str, index: int):
     return GramSchmidtBreakdownError(f"{kind} {index}: {exc}")
 
 
-def _record(index: int, t_prev: int, panel, r_kk, r2_inv_norm, q) -> BlockRecord:
-    """Audit record of ``panel``, whose diagonal block of ``r`` is ``r_kk``.
+def _record(index: int, t_prev: int, panel, res, q) -> BlockRecord:
+    """Audit record of ``panel``, whose step result is ``res``.
 
-    Width 1 takes no SVD: the column norm and ``1 / r_kk``.  Only the last
-    block takes the defect of ``q``.
+    Width 1 takes no SVD: the column norm and ``1 / res.r[0, 0]``.  Only
+    the last block takes the defect of ``q``.
     """
     width = panel.shape[1]
     if width == 1:
         block_norm = kernels.vec_norm(panel[:, 0])
-        rkk_inv_norm = 1.0 / r_kk[0, 0]
+        rkk_inv_norm = 1.0 / res.r[0, 0]
     else:
         block_norm = spectral_norm(panel)
-        rkk_inv_norm = spectral_norm(upper_triangular_inverse(r_kk))
+        rkk_inv_norm = spectral_norm(upper_triangular_inverse(res.r))
     last = t_prev + width == q.shape[1]
     return BlockRecord(
         index=index,
@@ -152,7 +155,7 @@ def _record(index: int, t_prev: int, panel, r_kk, r2_inv_norm, q) -> BlockRecord
         width=width,
         block_norm=block_norm,
         rkk_inv_norm=rkk_inv_norm,
-        r2_inv_norm=r2_inv_norm,
+        r2_inv_norm=res.r2_inv_norm,
         defect=orthogonality_defect(q) if last else None,
     )
 
@@ -161,9 +164,10 @@ def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
     """The block Gram-Schmidt loop shared by ``cgs``, ``cgs2``, ``bcgs``, ``bcgs2``.
 
     The first block is factored by :func:`local_qr`; every later block is
-    absorbed by ``step(q[:, :lo], panel)`` and the triangular factor grows by
-    the bordered update ``r = [[r, s], [0, r_new]]``.  ``blocks`` None means
-    one column per block.  Breakdowns are re-raised as ``"<unit> k: ..."``.
+    absorbed by ``step(q[:, :lo], panel)``.  Either way the triangular
+    factor grows by the bordered update ``r = [[r, s], [0, r_new]]``, with
+    an empty ``s`` for the first block.  ``blocks`` None means one column
+    per block.  Breakdowns are re-raised as ``"<unit> k: ..."``.
     """
     a = _validate_input(a)
     m, n = a.shape
@@ -179,11 +183,9 @@ def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
         except (RankDeficientError, GramSchmidtBreakdownError) as exc:
             raise _wrap_breakdown(exc, unit, k) from exc
         q[:, lo:hi] = res.q
+        r[:lo, lo:hi] = res.s
         r[lo:hi, lo:hi] = res.r
-        if k > 1:
-            r[:lo, lo:hi] = res.s
-        r2_inv_norm = None if k == 1 else res.r2_inv_norm
-        records.append(_record(k, lo, panel, res.r, r2_inv_norm, q))
+        records.append(_record(k, lo, panel, res, q))
     return FactorizationTrace(QRFactorization(q, r), tuple(records))
 
 
@@ -252,5 +254,5 @@ def mgs(a) -> FactorizationTrace:
             r[k - 1, k:] = kernels.dot(q[:, k - 1], q[:, k:])
             for lo in range(k, n, width):
                 q[:, lo : lo + width] -= q[:, k - 1 : k] * r[k - 1, lo : lo + width]
-        records.append(_record(k, k - 1, a[:, k - 1 : k], res.r, None, q))
+        records.append(_record(k, k - 1, a[:, k - 1 : k], res, q))
     return FactorizationTrace(QRFactorization(q, r), tuple(records))

@@ -5,6 +5,11 @@ the orthogonality defect and relative residual, and (for the two-pass
 methods) evaluates the per-block stability checks.  Under the ``strict``
 policy a failed check aborts the run; under ``warn`` the row records the
 failure and the sweep continues.
+
+Every method has a column partition, :meth:`ExperimentConfig.partition`:
+the given or uniform one for ``bcgs``/``bcgs2``, one column per block for
+``cgs``, ``mgs`` and ``cgs2``, and a single block for ``householder``.  Its
+widest block is the row's ``p``.
 """
 
 from __future__ import annotations
@@ -82,13 +87,10 @@ class ExperimentConfig:
             raise ValueError("give either a block width or an explicit partition")
         if self.generator == "file" and self.input_path is None:
             raise ValueError("the file generator needs an input path")
-        if self.method in _CHECKED_METHODS and has_blocking:
+        part = self.partition()
+        if self.method in _CHECKED_METHODS:
             # The stability checks evaluate block k at t = (k - 1) * p, p the
             # widest block, and the growth functions need m >= t + p there.
-            if self.blocks is not None:
-                part = BlockPartition(self.blocks)
-            else:
-                part = BlockPartition.uniform(self.n, self.block_width)
             need = part.count * part.max_width
             if need > self.m:
                 raise ValueError(
@@ -98,14 +100,17 @@ class ExperimentConfig:
                     f"got m={self.m}"
                 )
 
-    def partition(self) -> BlockPartition | None:
+    def partition(self) -> BlockPartition:
+        """The method's column partition; its widths sum to ``n``."""
         if self.blocks is not None:
             part = BlockPartition(self.blocks)
             part.validate_total(self.n)
             return part
         if self.block_width is not None:
             return BlockPartition.uniform(self.n, self.block_width)
-        return None
+        if self.method == "householder":
+            return BlockPartition.single(self.n)
+        return BlockPartition.ones(self.n)
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,14 @@ def _generate(config: ExperimentConfig, trial_seed: int) -> np.ndarray:
         return gen_lauchli(config.n, 1.0 / config.kappa)
     if config.generator == "hilbert-like":
         return gen_hilbert_like(config.m, config.n)
-    return read_matrix_market(config.input_path)
+    a = read_matrix_market(config.input_path)
+    # The partition, and so the row's p, was built for config.n columns.
+    if a.shape != (config.m, config.n):
+        raise ValueError(
+            f"{config.input_path}: the matrix is {a.shape[0]}x{a.shape[1]}, "
+            f"but the configuration has m={config.m}, n={config.n}"
+        )
+    return a
 
 
 def _measured_kappa(a: np.ndarray) -> float:
@@ -146,7 +158,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
     a = _generate(config, config.seed + index)
     m, n = a.shape
     part = config.partition()
-    p = part.max_width if part is not None else (n if config.method == "householder" else 1)
+    p = part.max_width
 
     start = time.perf_counter()
     if config.method == "householder":
@@ -193,19 +205,12 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
     )
 
 
-def run(config: ExperimentConfig, verify_contracts: bool = False) -> list[ReportRow]:
-    """Run every trial of a configuration, in trial order.
-
-    With ``verify_contracts`` the defect and residual of each passing
-    two-pass row are checked against their growth-function bounds.
-    """
-    rows = [_run_trial(config, i) for i in range(config.trials)]
-    if verify_contracts:
-        verify_report_contracts(rows)
-    return rows
+def run(config: ExperimentConfig) -> list[ReportRow]:
+    """Run every trial of a configuration, in trial order."""
+    return [_run_trial(config, i) for i in range(config.trials)]
 
 
-def verify_report_contracts(rows: list[ReportRow], d1: float = 1.0) -> None:
+def verify_report_contracts(rows: list[ReportRow]) -> None:
     """Assert the measured defect and residual against their bounds.
 
     Applies to two-pass rows whose stability checks all passed; the bounds
@@ -214,7 +219,7 @@ def verify_report_contracts(rows: list[ReportRow], d1: float = 1.0) -> None:
     for row in rows:
         if row.method not in _CHECKED_METHODS or not row.assumptions_passed:
             continue
-        ctx = BoundContext(m=row.m, p=row.p, d1=d1, n=row.n)
+        ctx = BoundContext(m=row.m, p=row.p, n=row.n)
         blocks = -(-row.n // row.p)
         t_last = (blocks - 1) * row.p
         defect_bound = 10.0 * ctx.eps * ctx.f1(t_last)

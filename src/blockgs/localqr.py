@@ -4,7 +4,8 @@
 Its contract: the returned q is near left-orthogonal and q @ r reproduces the
 panel, both to machine precision scaled by the growth function ``bounds.l1``.
 The returned r always has a nonnegative diagonal, which makes the width-1
-path coincide bitwise with direct normalization.
+path coincide bitwise with direct normalization.  It returns the block
+steps' :class:`BlockStepResult`, as the step against an empty basis.
 """
 
 from __future__ import annotations
@@ -20,20 +21,32 @@ from .errors import RankDeficientError
 
 
 @dataclass(frozen=True)
-class LocalQrResult:
-    """Orthonormal panel factor and its upper-triangular coefficient block."""
+class BlockStepResult:
+    """Orthonormalized panel q, triangular coefficient block r, basis
+    coefficients s, so that ``b = u @ s + q @ r`` up to roundoff.
+
+    Two-pass steps additionally retain the inner triangular factors ``r1``
+    and ``r2`` and the spectral norm of ``r2``'s inverse, which the
+    stability checks consume.  :func:`local_qr`'s result has an empty basis:
+    ``s`` is 0-by-p and the three two-pass fields are None.
+    """
 
     q: np.ndarray
     r: np.ndarray
+    s: np.ndarray
+    r1: np.ndarray | None = None
+    r2: np.ndarray | None = None
+    r2_inv_norm: float | None = None
 
 
-def local_qr(b) -> LocalQrResult:
+def local_qr(b) -> BlockStepResult:
     """Factor an m-by-p panel (m >= p >= 1) into q (m-by-p) and r (p-by-p).
 
     Width-1 panels bypass Householder entirely: r is the column norm and q
     the normalized column.  Wider panels use Householder reflectors with the
     explicit q formed by applying them to the leading columns of the
-    identity; signs are flipped so the diagonal of r is nonnegative.
+    identity; signs are flipped so the diagonal of r is nonnegative.  The
+    result's ``s`` is 0-by-p; ``r1``, ``r2`` and ``r2_inv_norm`` are None.
 
     Raises
     ------
@@ -67,7 +80,7 @@ def local_qr(b) -> LocalQrResult:
             )
         q = b / r_scalar
         r = np.asfortranarray([[r_scalar]])
-        return LocalQrResult(q=q, r=r)
+        return BlockStepResult(q=q, r=r, s=np.zeros((0, p), order="F"))
 
     q, r = kernels.householder_qr(b)
     diag = np.diagonal(r).copy()
@@ -86,4 +99,4 @@ def local_qr(b) -> LocalQrResult:
             index=worst,
             magnitude=float(diag[worst]),
         )
-    return LocalQrResult(q=q, r=r)
+    return BlockStepResult(q=q, r=r, s=np.zeros((0, p), order="F"))

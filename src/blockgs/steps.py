@@ -9,36 +9,18 @@ any of them: ``bcgs2`` uses :func:`block_cgs2_step`, ``bcgs`` and ``cgs`` use
 the width-1 case of :func:`block_cgs2_step`'s.  The scalar step and the
 width-1 block step are separate code but execute the same floating-point
 operations, so the two agree bitwise by computation, not by sharing code.
+:func:`local_qr`, which factors the first block, returns the same type with
+an empty basis: ``s`` is 0-by-p and the two-pass fields are None.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .core import as_matrix, spectral_norm, upper_triangular_inverse
 from .errors import GramSchmidtBreakdownError
-from .localqr import local_qr
-
-
-@dataclass(frozen=True)
-class BlockStepResult:
-    """Orthonormalized panel q, triangular coefficient block r, basis
-    coefficients s.
-
-    Two-pass steps additionally retain the inner triangular factors ``r1``
-    and ``r2`` and the spectral norm of ``r2``'s inverse, which the
-    stability checks consume.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    r1: np.ndarray | None = None
-    r2: np.ndarray | None = None
-    r2_inv_norm: float | None = None
+from .localqr import BlockStepResult, local_qr
 
 
 def _validate_pair(u, b):

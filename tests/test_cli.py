@@ -178,6 +178,19 @@ def test_partition_wider_than_stability_checks_allow_is_usage_error(tmp_path, ca
     assert "Traceback" not in err and not csv.exists()
 
 
+def test_partition_that_does_not_cover_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "bcgs", "--m", "30", "--n", "10", "--blocks", "4,4",
+            "--csv", str(csv),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "partition widths sum to 8, but the matrix has 10 columns" in err
+    assert "Traceback" not in err and not csv.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -77,9 +77,8 @@ class TestConfigValidation:
         assert cfg.partition().widths == (8, 4, 4)
 
     def test_partition_must_cover(self):
-        cfg = _config(block_width=None, blocks=(8, 4))
-        with pytest.raises(ValueError):
-            cfg.partition()
+        with pytest.raises(ValueError, match="widths sum to 12, but the matrix has 16"):
+            _config(block_width=None, blocks=(8, 4))
 
 
 class TestRun:
@@ -96,7 +95,7 @@ class TestRun:
             assert row.wall_time_seconds >= 0.0
 
     def test_contracts_hold_on_passing_rows(self):
-        bg.run(_config(trials=5, kappa=1e10), verify_contracts=True)
+        bg.verify_report_contracts(bg.run(_config(trials=5, kappa=1e10)))
 
     def test_every_method_runs(self):
         for method in ("cgs", "mgs", "cgs2", "householder"):
@@ -122,6 +121,14 @@ class TestRun:
         )
         rows = bg.run(cfg)
         assert rows[0].defect > 1e-2
+
+    def test_file_shape_must_match_config(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        bg.write_matrix_market(path, np.ones((20, 6)))
+        cfg = bg.ExperimentConfig(method="householder", m=30, n=10,
+                                  generator="file", input_path=str(path))
+        with pytest.raises(ValueError, match="is 20x6, but the configuration has m=30, n=10"):
+            bg.run(cfg)
 
 
 class TestPolicies:

@@ -28,6 +28,15 @@ def test_width_one_is_plain_normalization(rng):
     assert res.q.tobytes() == (b / norm).tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_result_is_the_step_against_an_empty_basis(rng, width):
+    res = bg.local_qr(rng.standard_normal((12, width)))
+    assert isinstance(res, bg.BlockStepResult)
+    assert res.s.shape == (0, width)
+    assert res.r1 is None and res.r2 is None and res.r2_inv_norm is None
+    assert bg.steps.BlockStepResult is bg.BlockStepResult
+
+
 def test_deterministic(rng):
     b = rng.standard_normal((30, 6))
     r1 = bg.local_qr(b)
