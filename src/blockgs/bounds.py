@@ -9,6 +9,9 @@ All functions take the row count ``m``, the number of previously processed
 columns ``t`` and the block width ``p``; ``t`` must be a multiple of ``p``
 where a block count is implied.  For partitions with unequal widths the
 checks are evaluated at ``p = max(widths)`` and ``t = (k - 1) * p``.
+
+The bounds are the paper's for binary64: the unit roundoff is the constant
+``MACHINE_UNIT`` (2^-53) and the panel-QR constant in ``l1`` is 1.
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ def _check_domain(m: int, t: int, p: int) -> None:
         raise ValueError(f"need m >= t + p, got m={m}, t={t}, p={p}")
 
 
-def l1(m: int, p: int, d1: float = 1.0) -> float:
-    """Panel QR growth: d1 * m * p^{3/2}; for single columns, m + 4."""
+def l1(m: int, p: int) -> float:
+    """Panel QR growth: m p^{3/2} (panel constant 1); for single columns, m + 4."""
     if p < 1 or m < p:
         raise ValueError(f"need m >= p >= 1, got m={m}, p={p}")
     if p == 1:
         return m + 4.0
-    return d1 * m * p**1.5
+    return m * p**1.5
 
 
 def l2(m: int, t: int, p: int) -> float:
@@ -84,10 +87,10 @@ def l5(p: int) -> float:
     return float(p * p)
 
 
-def lf(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def lf(m: int, t: int, p: int) -> float:
     """One-step backward-error growth: l1 + l2 + l3."""
     _check_domain(m, t, p)
-    return l1(m, p, d1) + l2(m, t, p) + l3(t, p)
+    return l1(m, p) + l2(m, t, p) + l3(t, p)
 
 
 def _block_count(t: int, p: int) -> int:
@@ -96,26 +99,26 @@ def _block_count(t: int, p: int) -> int:
     return t // p
 
 
-def f1(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def f1(m: int, t: int, p: int) -> float:
     """Orthogonality-defect growth after t = k p columns:
     sqrt(alpha^2 k + 1) * lf(m, t, p)."""
     _check_domain(m, t, p)
     k = _block_count(t, p)
-    return math.sqrt(_ALPHA * _ALPHA * k + 1.0) * lf(m, t, p, d1)
+    return math.sqrt(_ALPHA * _ALPHA * k + 1.0) * lf(m, t, p)
 
 
-def gamma(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def gamma(m: int, t: int, p: int) -> float:
     """Ratio lf / f1; coincides with gamma_k(t / p + 1) and is < 1 for t >= p."""
-    return lf(m, t, p, d1) / f1(m, t, p, d1)
+    return lf(m, t, p) / f1(m, t, p)
 
 
-def f_resid(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def f_resid(m: int, t: int, p: int) -> float:
     """Single-step residual growth: 2 l1 + 2 l3 + l4 + l5."""
     _check_domain(m, t, p)
-    return 2.0 * l1(m, p, d1) + 2.0 * l3(t, p) + l4(p) + l5(p)
+    return 2.0 * l1(m, p) + 2.0 * l3(t, p) + l4(p) + l5(p)
 
 
-def f2(m: int, t: int, p: int, k: int | None = None, d1: float = 1.0) -> float:
+def f2(m: int, t: int, p: int, k: int | None = None) -> float:
     """Accumulated residual growth after k blocks: k^{1/2} f_resid(m, t, p).
 
     ``k`` defaults to t / p + 1, the index of the block being absorbed.
@@ -125,17 +128,16 @@ def f2(m: int, t: int, p: int, k: int | None = None, d1: float = 1.0) -> float:
         k = _block_count(t, p) + 1
     if k < 1:
         raise ValueError(f"block count must be >= 1, got {k}")
-    return math.sqrt(k) * f_resid(m, t, p, d1)
+    return math.sqrt(k) * f_resid(m, t, p)
 
 
-def f_sing(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def f_sing(m: int, t: int, p: int) -> float:
     """Growth factor in the diagonal-block conditioning check:
     f1 + lf + gamma * l5."""
-    _check_domain(m, t, p)
-    return f1(m, t, p, d1) + lf(m, t, p, d1) + gamma(m, t, p, d1) * l5(p)
+    return f1(m, t, p) + lf(m, t, p) + gamma(m, t, p) * l5(p)
 
 
-def orthogonality_step_constant(m: int, t: int, p: int, d1: float = 1.0) -> float:
+def orthogonality_step_constant(m: int, t: int, p: int) -> float:
     """Frobenius bound for one induction step of the defect, at t = k p >= p.
 
     Always at most f1(m, t, p); the inequality is what lets the per-step
@@ -144,9 +146,9 @@ def orthogonality_step_constant(m: int, t: int, p: int, d1: float = 1.0) -> floa
     _check_domain(m, t, p)
     if t < p:
         raise ValueError(f"need at least one previous block, got t={t}, p={p}")
-    prev = f1(m, t - p, p, d1)
-    cross = (1.0 + _SQRT2) * lf(m, t, p, d1)
-    corner = l1(m, p, d1)
+    prev = f1(m, t - p, p)
+    cross = (1.0 + _SQRT2) * lf(m, t, p)
+    corner = l1(m, p)
     return math.sqrt(prev * prev + 2.0 * cross * cross + corner * corner)
 
 
@@ -155,57 +157,59 @@ class BoundContext:
     """Everything needed to evaluate the growth functions for one problem.
 
     ``p`` is the block width (the maximum width for unequal partitions).
-    When the total column count ``n`` is supplied, the constructor also
-    verifies that the defect bound stays meaningful (below 1) out to the
-    last block.
+    When the total column count ``n`` is supplied, the context also owns the
+    last block, ``blocks = ceil(n / p)`` at ``t_last = (blocks - 1) * p``
+    (both None without ``n``), and the constructor verifies that the defect
+    bound stays meaningful (below 1) out to it.
     """
 
     m: int
     p: int
-    eps: float = MACHINE_UNIT
-    d1: float = 1.0
     n: int | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.m < self.p:
-            raise ValueError(f"need m >= p >= 1, got m={self.m}, p={self.p}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"machine unit must lie in (0, 1), got {self.eps}")
-        if self.eps * l1(self.m, self.p, self.d1) >= 1.0:
+        # l1 rejects p < 1 and m < p.
+        if MACHINE_UNIT * l1(self.m, self.p) >= 1.0:
             raise ValueError(
                 f"eps * l1({self.m}, {self.p}) >= 1: the panel contract is vacuous"
             )
         if self.n is not None:
             if not self.p <= self.n <= self.m:
                 raise ValueError(f"need p <= n <= m, got n={self.n}")
-            blocks = -(-self.n // self.p)
-            t_last = (blocks - 1) * self.p
-            if self.eps * f1(self.m, t_last, self.p, self.d1) >= 1.0:
+            if MACHINE_UNIT * f1(self.m, self.t_last, self.p) >= 1.0:
                 raise ValueError(
-                    f"eps * f1({self.m}, {t_last}, {self.p}) >= 1: the "
+                    f"eps * f1({self.m}, {self.t_last}, {self.p}) >= 1: the "
                     "orthogonality bound is vacuous at this size"
                 )
 
+    @property
+    def blocks(self) -> int | None:
+        return None if self.n is None else -(-self.n // self.p)
+
+    @property
+    def t_last(self) -> int | None:
+        return None if self.n is None else (self.blocks - 1) * self.p
+
     def l1(self) -> float:
-        return l1(self.m, self.p, self.d1)
+        return l1(self.m, self.p)
 
     def lf(self, t: int) -> float:
-        return lf(self.m, t, self.p, self.d1)
+        return lf(self.m, t, self.p)
 
     def f1(self, t: int) -> float:
-        return f1(self.m, t, self.p, self.d1)
+        return f1(self.m, t, self.p)
 
     def f_resid(self, t: int) -> float:
-        return f_resid(self.m, t, self.p, self.d1)
+        return f_resid(self.m, t, self.p)
 
     def f2(self, t: int, k: int | None = None) -> float:
-        return f2(self.m, t, self.p, k, self.d1)
+        return f2(self.m, t, self.p, k)
 
     def f_sing(self, t: int) -> float:
-        return f_sing(self.m, t, self.p, self.d1)
+        return f_sing(self.m, t, self.p)
 
     def gamma(self, t: int) -> float:
-        return gamma(self.m, t, self.p, self.d1)
+        return gamma(self.m, t, self.p)
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,7 @@ def check_assumptions(trace: "FactorizationTrace", ctx: BoundContext) -> list[As
             )
         t_eval = (k - 1) * ctx.p
         g = gamma_k(k)
-        lhs_a = ctx.eps * ctx.f_sing(t_eval) * rec.block_norm * rec.rkk_inv_norm
+        lhs_a = MACHINE_UNIT * ctx.f_sing(t_eval) * rec.block_norm * rec.rkk_inv_norm
         lhs_b = rec.r2_inv_norm
         rhs_b = math.sqrt(1.0 + g * g)
         verdicts.append(

@@ -42,9 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--blocks", type=str, help="explicit comma-separated block widths, e.g. 4,4,2"
     )
-    parser.add_argument(
-        "--gen", default="svd", choices=["svd", "lauchli", "hilbert", "file"]
-    )
+    parser.add_argument("--gen", default="svd", choices=_GEN_NAMES)
     parser.add_argument(
         "--kappa",
         type=float,

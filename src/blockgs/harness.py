@@ -22,6 +22,7 @@ import numpy as np
 
 from .bounds import BoundContext, check_assumptions
 from .core import (
+    MACHINE_UNIT,
     BlockPartition,
     QRFactorization,
     orthogonality_defect,
@@ -76,6 +77,9 @@ class ExperimentConfig:
                 "the lauchli generator needs a finite kappa (its perturbation "
                 "is 1/kappa), got inf"
             )
+        if self.generator == "lauchli" and self.m != self.n + 1:
+            raise ValueError("the lauchli generator builds an (n+1) x n matrix, so it "
+                             f"needs m = n + 1 = {self.n + 1}, got m={self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         has_blocking = self.block_width is not None or self.blocks is not None
@@ -171,10 +175,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
         factorization = trace.factorization
     wall = time.perf_counter() - start
 
-    if trace is not None:
-        defect = trace.per_block[-1].defect
-    else:
-        defect = orthogonality_defect(factorization.q)
+    defect = orthogonality_defect(factorization.q) if trace is None else trace.per_block[-1].defect
     resid = relative_residual(a, factorization)
 
     assumptions_passed = True
@@ -220,10 +221,8 @@ def verify_report_contracts(rows: list[ReportRow]) -> None:
         if row.method not in _CHECKED_METHODS or not row.assumptions_passed:
             continue
         ctx = BoundContext(m=row.m, p=row.p, n=row.n)
-        blocks = -(-row.n // row.p)
-        t_last = (blocks - 1) * row.p
-        defect_bound = 10.0 * ctx.eps * ctx.f1(t_last)
-        resid_bound = 10.0 * ctx.eps * ctx.f2(t_last, blocks)
+        defect_bound = 10.0 * MACHINE_UNIT * ctx.f1(ctx.t_last)
+        resid_bound = 10.0 * MACHINE_UNIT * ctx.f2(ctx.t_last, ctx.blocks)
         if not row.defect <= defect_bound:
             raise AssertionError(
                 f"defect {row.defect:.3e} exceeds bound {defect_bound:.3e} "

@@ -16,7 +16,7 @@ its terms one index at a time, in ascending order, onto the exact identity
 layout; outputs too large for a chunk of 8 indices keep one rank-1 update per
 inner index.  The Householder reflector products ``v^T Y`` are the one-row
 case of the same product, and so are dot products: ``dot(x, Y)`` is the row
-``x^T Y``, and a 1-D ``y`` its one-column case, a 1x1 output that accumulates.
+``x^T Y``, and a one-column ``Y`` gives a 1x1 output that accumulates.
 Norms are ``np.add.accumulate``, which sums strictly left to right.  Reduced
 along a contiguous axis, or with one entry per row, numpy would sum pairwise,
 and BLAS products reorder the sum, so ``np.sum``, ``np.dot``, ``np.matmul``,
@@ -165,14 +165,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dot(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """Ascending-index dot products of a 1-D float64 array x with y.
+def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ascending-index dot products of a 1-D float64 array x with an m-by-n y.
 
-    A 1-D y gives the float ``x^T y``; an m-by-n y gives the length-n row
-    ``x^T Y`` of its columns' dot products, each summed in the same order.
+    Returns the length-n row ``x^T Y`` of its columns' dot products, each
+    summed in the same order.
     """
-    if y.ndim == 1:
-        return float(_weighted_row_sum_numpy(x, y[:, None])[0])
     return _weighted_row_sum_numpy(x, y)
 
 

@@ -55,13 +55,17 @@ def _run_trial(i: int) -> TrialResult:
     norm_a = bg.spectral_norm(a)
     resid = bg.relative_residual(a, trace.factorization)
 
-    e = a - bg.matmul(trace.q, trace.r)
+    # With X = Q_X R_X, the prefix X[:, :hi] = Q_X[:, :hi] R_X[:hi, :hi], so
+    # its 2-norm is that of the hi-by-hi leading triangle: one QR per matrix
+    # replaces two m-by-hi SVDs per block.
+    r_e = np.linalg.qr(a - bg.matmul(trace.q, trace.r), mode="r")
+    r_a = np.linalg.qr(a, mode="r")
     worst_margin = 0.0
     t = 0
     for k, rec in enumerate(trace.per_block, start=1):
         hi = t + rec.width
-        prefix_resid = float(np.linalg.svd(e[:, :hi], compute_uv=False)[0])
-        prefix_norm = float(np.linalg.svd(a[:, :hi], compute_uv=False)[0])
+        prefix_resid = float(np.linalg.svd(r_e[:hi, :hi], compute_uv=False)[0])
+        prefix_norm = float(np.linalg.svd(r_a[:hi, :hi], compute_uv=False)[0])
         bound = 10.0 * EPS * bg.f2(m, t, p, k) * prefix_norm
         worst_margin = max(worst_margin, prefix_resid / bound)
         t = hi

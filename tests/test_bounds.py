@@ -1,5 +1,7 @@
 """Growth-function tests: closed forms, identities, monotonicity, checkers."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,9 +24,8 @@ class TestClosedForms:
         assert bg.l2(100, 16, 4) == 800.0
 
     def test_l1_width_one_exception(self):
-        # The width-1 panel constant is additive, not the general d1 m p^{3/2}.
+        # The width-1 panel constant is additive, not the general m p^{3/2}.
         assert bg.l1(10, 1) == 14.0
-        assert bg.l1(10, 1, d1=7.0) == 14.0
         assert bg.l1(8, 4) == 64.0
 
     def test_lf_is_sum_of_parts(self):
@@ -144,13 +145,58 @@ class TestIdentities:
                 assert f(m, t, p) >= 0.0
 
 
+# (l1(m, p), lf, f1, f2, f_sing, orthogonality_step_constant) at (m, t, p),
+# as float.hex: fixing the panel constant at 1 must not move a single bit.
+_PINNED_GROWTH = {
+    (10, 4, 1): ('0x1.c000000000000p+3', '0x1.5800000000000p+5', '0x1.34f6ecd7620a4p+8',
+                 '0x1.b644f2640aea1p+6', '0x1.601a8dc8bd3ddp+8', '0x1.14c4a275e363ap+8'),
+    (37, 9, 3): ('0x1.8083e957c927cp+7', '0x1.b103406e63adfp+8', '0x1.51e4911663e85p+11',
+                 '0x1.f53dff3383b8ep+9', '0x1.88331b87296d6p+11', '0x1.30efccd3cadf9p+11'),
+    (64, 8, 8): ('0x1.6a09e667f3bcdp+10', '0x1.fabeeb5b27b6cp+10', '0x1.d42c0bad3cb31p+12',
+                 '0x1.17609e667f3bep+12', '0x1.29f86f15e22a2p+13', '0x1.c31cb754920ffp+12'),
+    (100, 12, 4): ('0x1.9000000000000p+9', '0x1.8a7d5c5a6a18ap+10', '0x1.33d5095b725a5p+13',
+                   '0x1.c311b85c84730p+11', '0x1.653935f64ac0ap+13', '0x1.1b525e0313c58p+13'),
+    (500, 64, 16): ('0x1.f400000000000p+14', '0x1.8708000000000p+15', '0x1.5f34af38d471ap+18',
+                    '0x1.2baf7e07e5f3fp+17', '0x1.901e97752b3e8p+18', '0x1.4e0db6107e7d9p+18'),
+    (2000, 96, 32): ('0x1.618dab0184066p+18', '0x1.d3021c3293e83p+18', '0x1.6c6bab462901fp+21',
+                     '0x1.67c2011bee30bp+20', '0x1.a6d10f105e47cp+21', '0x1.5ebb7885e9ca9p+21'),
+}
+
+_GROWTH_FUNCTIONS = (bg.l1, bg.lf, bg.f1, bg.gamma, bg.f_resid, bg.f2, bg.f_sing,
+                     bg.orthogonality_step_constant)
+
+
+class TestFixedConstants:
+    """The panel constant is 1 and the unit roundoff is MACHINE_UNIT."""
+
+    @pytest.mark.parametrize("func", _GROWTH_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_growth_functions_take_no_panel_constant(self, func):
+        assert "d1" not in inspect.signature(func).parameters
+
+    def test_context_fields(self):
+        assert [f.name for f in dataclasses.fields(bg.BoundContext)] == ["m", "p", "n"]
+
+    @pytest.mark.parametrize("mtp", sorted(_PINNED_GROWTH))
+    def test_growth_values_are_pinned(self, mtp):
+        m, t, p = mtp
+        got = (bg.l1(m, p), bg.lf(m, t, p), bg.f1(m, t, p), bg.f2(m, t, p),
+               bg.f_sing(m, t, p), bg.orthogonality_step_constant(m, t, p))
+        assert tuple(v.hex() for v in got) == _PINNED_GROWTH[mtp]
+
+
 class TestBoundContext:
     def test_methods_delegate(self):
         ctx = bg.BoundContext(m=100, p=4, n=32)
         assert ctx.f1(8) == bg.f1(100, 8, 4)
         assert ctx.f2(8, 3) == bg.f2(100, 8, 4, 3)
         assert ctx.f_sing(8) == bg.f_sing(100, 8, 4)
-        assert ctx.eps == bg.MACHINE_UNIT
+
+    def test_owns_the_last_block(self):
+        for n, blocks, t_last in [(4, 1, 0), (30, 8, 28), (32, 8, 28), (33, 9, 32)]:
+            ctx = bg.BoundContext(m=100, p=4, n=n)
+            assert (ctx.blocks, ctx.t_last) == (blocks, t_last)
+        bare = bg.BoundContext(m=100, p=4)
+        assert (bare.blocks, bare.t_last) == (None, None)
 
     def test_rejects_vacuous_panel_bound(self):
         with pytest.raises(ValueError, match="l1"):
@@ -163,8 +209,6 @@ class TestBoundContext:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             bg.BoundContext(m=4, p=8)
-        with pytest.raises(ValueError):
-            bg.BoundContext(m=100, p=4, eps=1.5)
 
 
 class TestCheckAssumptions:

@@ -52,6 +52,18 @@ class TestConfigValidation:
         # The svd-spectrum generator takes an infinite kappa as before.
         assert _config(kappa=float("inf")).kappa == float("inf")
 
+    def test_lauchli_needs_its_own_row_count(self):
+        # gen_lauchli builds an (n+1) x n matrix whatever m says, so any other
+        # m is refused here, not inside run().
+        with pytest.raises(ValueError, match=r"needs m = n \+ 1 = 41, got m=100"):
+            _config(m=100, n=40, block_width=16, generator="lauchli", kappa=1e4)
+        # With its true m = 41 the partition's room check applies: 3 * 16 > 41.
+        with pytest.raises(ValueError, match=r"m >= 3 \* 16 = 48, got m=41"):
+            _config(m=41, n=40, block_width=16, generator="lauchli", kappa=1e4)
+        rows = bg.run(_config(m=41, n=40, block_width=8, generator="lauchli",
+                              kappa=1e4, trials=1))
+        assert (rows[0].m, rows[0].n, rows[0].p) == (41, 40, 8)
+
     def test_rejects_partition_wider_than_stability_checks_allow(self):
         # Block k is checked at t = (k - 1) * 16, so 7 blocks need m >= 112.
         with pytest.raises(

@@ -136,7 +136,3 @@ class TestL1Bound:
 
     def test_minimum_size(self):
         assert bg.l1(1, 1) == 5.0
-
-    def test_d1_scales_general_but_not_width_one(self):
-        assert bg.l1(8, 4, d1=2.0) == 128.0
-        assert bg.l1(8, 1, d1=2.0) == 12.0
