@@ -118,16 +118,11 @@ def f_resid(m: int, t: int, p: int) -> float:
     return 2.0 * l1(m, p) + 2.0 * l3(t, p) + l4(p) + l5(p)
 
 
-def f2(m: int, t: int, p: int, k: int | None = None) -> float:
-    """Accumulated residual growth after k blocks: k^{1/2} f_resid(m, t, p).
-
-    ``k`` defaults to t / p + 1, the index of the block being absorbed.
-    """
+def f2(m: int, t: int, p: int) -> float:
+    """Accumulated residual growth at block k = t / p + 1, the block being
+    absorbed: k^{1/2} f_resid(m, t, p)."""
     _check_domain(m, t, p)
-    if k is None:
-        k = _block_count(t, p) + 1
-    if k < 1:
-        raise ValueError(f"block count must be >= 1, got {k}")
+    k = _block_count(t, p) + 1
     return math.sqrt(k) * f_resid(m, t, p)
 
 
@@ -154,18 +149,18 @@ def orthogonality_step_constant(m: int, t: int, p: int) -> float:
 
 @dataclass(frozen=True)
 class BoundContext:
-    """Everything needed to evaluate the growth functions for one problem.
+    """The problem the bounds are evaluated for: ``m`` rows, ``n`` columns
+    and block width ``p`` (the maximum width for unequal partitions).
 
-    ``p`` is the block width (the maximum width for unequal partitions).
-    When the total column count ``n`` is supplied, the context also owns the
-    last block, ``blocks = ceil(n / p)`` at ``t_last = (blocks - 1) * p``
-    (both None without ``n``), and the constructor verifies that the defect
-    bound stays meaningful (below 1) out to it.
+    It names the last block, ``blocks = ceil(n / p)`` at
+    ``t_last = (blocks - 1) * p``, and the constructor verifies that the
+    defect bound stays meaningful (below 1) out to it.  The growth
+    functions are the module functions, called with ``m`` and ``p``.
     """
 
     m: int
     p: int
-    n: int | None = None
+    n: int
 
     def __post_init__(self):
         # l1 rejects p < 1 and m < p.
@@ -173,43 +168,21 @@ class BoundContext:
             raise ValueError(
                 f"eps * l1({self.m}, {self.p}) >= 1: the panel contract is vacuous"
             )
-        if self.n is not None:
-            if not self.p <= self.n <= self.m:
-                raise ValueError(f"need p <= n <= m, got n={self.n}")
-            if MACHINE_UNIT * f1(self.m, self.t_last, self.p) >= 1.0:
-                raise ValueError(
-                    f"eps * f1({self.m}, {self.t_last}, {self.p}) >= 1: the "
-                    "orthogonality bound is vacuous at this size"
-                )
+        if not self.p <= self.n <= self.m:
+            raise ValueError(f"need p <= n <= m, got n={self.n}")
+        if MACHINE_UNIT * f1(self.m, self.t_last, self.p) >= 1.0:
+            raise ValueError(
+                f"eps * f1({self.m}, {self.t_last}, {self.p}) >= 1: the "
+                "orthogonality bound is vacuous at this size"
+            )
 
     @property
-    def blocks(self) -> int | None:
-        return None if self.n is None else -(-self.n // self.p)
+    def blocks(self) -> int:
+        return -(-self.n // self.p)
 
     @property
-    def t_last(self) -> int | None:
-        return None if self.n is None else (self.blocks - 1) * self.p
-
-    def l1(self) -> float:
-        return l1(self.m, self.p)
-
-    def lf(self, t: int) -> float:
-        return lf(self.m, t, self.p)
-
-    def f1(self, t: int) -> float:
-        return f1(self.m, t, self.p)
-
-    def f_resid(self, t: int) -> float:
-        return f_resid(self.m, t, self.p)
-
-    def f2(self, t: int, k: int | None = None) -> float:
-        return f2(self.m, t, self.p, k)
-
-    def f_sing(self, t: int) -> float:
-        return f_sing(self.m, t, self.p)
-
-    def gamma(self, t: int) -> float:
-        return gamma(self.m, t, self.p)
+    def t_last(self) -> int:
+        return (self.blocks - 1) * self.p
 
 
 @dataclass(frozen=True)
@@ -252,7 +225,7 @@ def check_assumptions(trace: "FactorizationTrace", ctx: BoundContext) -> list[As
             )
         t_eval = (k - 1) * ctx.p
         g = gamma_k(k)
-        lhs_a = MACHINE_UNIT * ctx.f_sing(t_eval) * rec.block_norm * rec.rkk_inv_norm
+        lhs_a = MACHINE_UNIT * f_sing(ctx.m, t_eval, ctx.p) * rec.block_norm * rec.rkk_inv_norm
         lhs_b = rec.r2_inv_norm
         rhs_b = math.sqrt(1.0 + g * g)
         verdicts.append(

@@ -239,7 +239,3 @@ class QRFactorization:
             )
         if np.any(np.tril(r, -1) != 0.0):
             raise ValueError("r has nonzero entries below the diagonal")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.q.shape[0], self.r.shape[1]

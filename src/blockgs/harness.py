@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import BoundContext, check_assumptions
+from .bounds import BoundContext, check_assumptions, f1, f2
 from .core import (
     MACHINE_UNIT,
     BlockPartition,
@@ -221,8 +221,8 @@ def verify_report_contracts(rows: list[ReportRow]) -> None:
         if row.method not in _CHECKED_METHODS or not row.assumptions_passed:
             continue
         ctx = BoundContext(m=row.m, p=row.p, n=row.n)
-        defect_bound = 10.0 * MACHINE_UNIT * ctx.f1(ctx.t_last)
-        resid_bound = 10.0 * MACHINE_UNIT * ctx.f2(ctx.t_last, ctx.blocks)
+        defect_bound = 10.0 * MACHINE_UNIT * f1(ctx.m, ctx.t_last, ctx.p)
+        resid_bound = 10.0 * MACHINE_UNIT * f2(ctx.m, ctx.t_last, ctx.p)
         if not row.defect <= defect_bound:
             raise AssertionError(
                 f"defect {row.defect:.3e} exceeds bound {defect_bound:.3e} "

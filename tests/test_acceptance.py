@@ -36,6 +36,7 @@ class TrialResult:
     resid: float
     norm_a: float
     worst_prefix_margin: float  # max over k of resid_k / (bound_k * |A_k|)
+    worst_defect_margin: float  # max over k of defect_k / (10 eps f1(m, (k-1) p, p))
     householder_resid: float
 
 
@@ -60,14 +61,22 @@ def _run_trial(i: int) -> TrialResult:
     # replaces two m-by-hi SVDs per block.
     r_e = np.linalg.qr(a - bg.matmul(trace.q, trace.r), mode="r")
     r_a = np.linalg.qr(a, mode="r")
+    # Likewise the defect of Q[:, :hi] is the 2-norm of the leading block of
+    # I - Q^T Q, one Gram matrix per trial; the block is symmetric, so its
+    # 2-norm is its largest eigenvalue magnitude.
+    i_minus_g = np.eye(n) - trace.q.T @ trace.q
     worst_margin = 0.0
+    worst_defect_margin = 0.0
     t = 0
-    for k, rec in enumerate(trace.per_block, start=1):
+    for rec in trace.per_block:
         hi = t + rec.width
         prefix_resid = float(np.linalg.svd(r_e[:hi, :hi], compute_uv=False)[0])
         prefix_norm = float(np.linalg.svd(r_a[:hi, :hi], compute_uv=False)[0])
-        bound = 10.0 * EPS * bg.f2(m, t, p, k) * prefix_norm
+        bound = 10.0 * EPS * bg.f2(m, t, p) * prefix_norm
         worst_margin = max(worst_margin, prefix_resid / bound)
+        prefix_defect = float(np.abs(np.linalg.eigvalsh(i_minus_g[:hi, :hi])).max())
+        defect_bound = 10.0 * EPS * bg.f1(m, t, p)
+        worst_defect_margin = max(worst_defect_margin, prefix_defect / defect_bound)
         t = hi
 
     hh = bg.local_qr(a)
@@ -85,6 +94,7 @@ def _run_trial(i: int) -> TrialResult:
         resid=resid,
         norm_a=norm_a,
         worst_prefix_margin=worst_margin,
+        worst_defect_margin=worst_defect_margin,
         householder_resid=hh_resid,
     )
 
@@ -111,9 +121,23 @@ def test_criterion_1_orthogonality_contract(corpus):
     )
 
 
+def test_orthogonality_contract_at_every_block(corpus):
+    # The paper bounds the defect of Q_k after every block k, not only the last.
+    passing = [t for t in corpus if t.all_checks_passed]
+    worst = max(passing, key=lambda t: t.worst_defect_margin)
+    assert worst.worst_defect_margin <= 1.0, (
+        f"prefix defect exceeded its bound (margin {worst.worst_defect_margin:.3f}) "
+        f"at m={worst.m} n={worst.n} p={worst.p} kappa={worst.kappa:g}"
+    )
+    print(
+        f"\n[acceptance] per-block orthogonality contract: PASS "
+        f"({len(passing)} trials, worst margin {worst.worst_defect_margin:.3e})"
+    )
+
+
 def test_criterion_2_residual_contract(corpus):
     for t in corpus:
-        bound = 10.0 * EPS * bg.f2(t.m, t.t_last, t.p, t.blocks)
+        bound = 10.0 * EPS * bg.f2(t.m, t.t_last, t.p)
         assert t.resid <= bound, (
             f"relative residual {t.resid:.3e} > bound {bound:.3e} at "
             f"m={t.m} n={t.n} p={t.p} kappa={t.kappa:g}"

@@ -80,8 +80,7 @@ class TestClosedForms:
             assert lhs == pytest.approx(rhs, rel=1e-15)
 
     def test_f2_composition(self):
-        assert bg.f2(50, 8, 4, k=3) == math.sqrt(3.0) * bg.f_resid(50, 8, 4)
-        assert bg.f2(50, 8, 4) == bg.f2(50, 8, 4, k=3)
+        assert bg.f2(50, 8, 4) == math.sqrt(3.0) * bg.f_resid(50, 8, 4)
 
     def test_f_sing_composition(self):
         got = bg.f_sing(10, 1, 1)
@@ -176,6 +175,10 @@ class TestFixedConstants:
     def test_context_fields(self):
         assert [f.name for f in dataclasses.fields(bg.BoundContext)] == ["m", "p", "n"]
 
+    def test_f2_takes_no_block_count(self):
+        # k is always t / p + 1, the block being absorbed.
+        assert list(inspect.signature(bg.f2).parameters) == ["m", "t", "p"]
+
     @pytest.mark.parametrize("mtp", sorted(_PINNED_GROWTH))
     def test_growth_values_are_pinned(self, mtp):
         m, t, p = mtp
@@ -185,22 +188,24 @@ class TestFixedConstants:
 
 
 class TestBoundContext:
-    def test_methods_delegate(self):
-        ctx = bg.BoundContext(m=100, p=4, n=32)
-        assert ctx.f1(8) == bg.f1(100, 8, 4)
-        assert ctx.f2(8, 3) == bg.f2(100, 8, 4, 3)
-        assert ctx.f_sing(8) == bg.f_sing(100, 8, 4)
-
     def test_owns_the_last_block(self):
         for n, blocks, t_last in [(4, 1, 0), (30, 8, 28), (32, 8, 28), (33, 9, 32)]:
             ctx = bg.BoundContext(m=100, p=4, n=n)
             assert (ctx.blocks, ctx.t_last) == (blocks, t_last)
-        bare = bg.BoundContext(m=100, p=4)
-        assert (bare.blocks, bare.t_last) == (None, None)
+
+    def test_has_no_growth_functions(self):
+        # One route per bound: the module functions, called with ctx.m and ctx.p.
+        ctx = bg.BoundContext(m=100, p=4, n=32)
+        for name in ("l1", "lf", "f1", "f_resid", "f2", "f_sing", "gamma"):
+            assert not hasattr(ctx, name), name
+
+    def test_requires_the_column_count(self):
+        with pytest.raises(TypeError):
+            bg.BoundContext(m=100, p=4)
 
     def test_rejects_vacuous_panel_bound(self):
         with pytest.raises(ValueError, match="l1"):
-            bg.BoundContext(m=2**45, p=2**10)
+            bg.BoundContext(m=2**45, p=2**10, n=2**10)
 
     def test_rejects_vacuous_defect_bound(self):
         with pytest.raises(ValueError, match="f1"):
@@ -208,7 +213,9 @@ class TestBoundContext:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            bg.BoundContext(m=4, p=8)
+            bg.BoundContext(m=4, p=8, n=8)
+        with pytest.raises(ValueError, match="p <= n <= m"):
+            bg.BoundContext(m=100, p=8, n=4)
 
 
 class TestCheckAssumptions:

@@ -1,5 +1,6 @@
 """Dense-core tests: products, spectral norm, defect, residual, domain types."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -197,6 +198,11 @@ class TestQRFactorization:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             bg.QRFactorization(np.eye(3), np.eye(2))
+
+    def test_fields_are_the_whole_interface(self):
+        # The shape is (q.shape[0], r.shape[1]); there is no second accessor.
+        assert [f.name for f in dataclasses.fields(bg.QRFactorization)] == ["q", "r"]
+        assert not hasattr(bg.QRFactorization(np.eye(3), np.eye(3)), "shape")
 
 
 def test_as_matrix_rejects_non_2d():

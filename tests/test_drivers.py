@@ -100,7 +100,7 @@ class TestBcgs2:
         t = 0
         for k, rec in enumerate(tr.per_block, start=1):
             prefix_norm = bg.spectral_norm(a[:, : t + rec.width])
-            bound = 10.0 * bg.MACHINE_UNIT * bg.f2(80, t, 8, k) * prefix_norm
+            bound = 10.0 * bg.MACHINE_UNIT * bg.f2(80, t, 8) * prefix_norm
             assert residuals[k - 1] <= bound
             t += rec.width
 
