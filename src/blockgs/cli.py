@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 2 when a stability check fails under the strict
+Exit codes: 0 on success, 2 on a usage error (an unreadable input or an
+unwritable output among them) or a failed stability check under the strict
 policy, 1 on hard numerical breakdown (rank-deficient panel, a vanished
 remainder, or an SVD that does not converge).
 """
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: --input cannot be read
         parser.error(str(exc))
 
     try:
@@ -111,9 +112,12 @@ def main(argv=None) -> int:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 1
 
-    emit_csv(rows, args.csv)
-    if args.plot:
-        emit_plotdata(rows, args.plot)
+    try:
+        emit_csv(rows, args.csv)
+        if args.plot:
+            emit_plotdata(rows, args.plot)
+    except OSError as exc:
+        parser.error(str(exc))
     worst_defect = max(row.defect for row in rows)
     worst_resid = max(row.rel_residual for row in rows)
     print(

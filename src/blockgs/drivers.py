@@ -3,9 +3,9 @@
 Two-pass methods (``cgs2``, ``bcgs2``) are the product of this package; the
 one-pass baselines (``cgs``, ``mgs``, ``bcgs``) exist for loss-of-orthogonality
 comparisons.  Every driver returns a :class:`FactorizationTrace`: the factors
-plus one audit record per block (norms, inverse norms of the diagonal blocks)
-so the stability checks can run afterwards without refactoring, and the
-orthogonality defect of the finished ``Q`` on the last record.
+plus one audit record per block (norms, and inverse norms of the diagonal
+blocks and of each ``r2``) so the stability checks can run afterwards
+without refactoring, and the defect of the finished ``Q`` on the last record.
 
 ``cgs``, ``cgs2``, ``bcgs`` and ``bcgs2`` are one block loop,
 :func:`_gram_schmidt`, that differs only in its intra-block step:
@@ -70,10 +70,10 @@ from .steps import _project, block_cgs2_step, block_cgs_step, cgs2_step
 class BlockRecord:
     """Audit data for one processed block.
 
-    ``r2_inv_norm`` is None for the first block and for one-pass methods,
-    which have no second-pass triangular factor.  ``defect`` is the
-    orthogonality defect of the finished ``Q``, on the last block only; it
-    is None on every earlier one.
+    ``r2_inv_norm``, the inverse norm of the step's ``r2``, is None for the
+    first block and for one-pass methods, which have no second pass.
+    ``defect`` is the orthogonality defect of the finished ``Q``, on the
+    last block only; it is None on every earlier one.
     """
 
     index: int
@@ -135,27 +135,28 @@ def _wrap_breakdown(exc, kind: str, index: int):
     return GramSchmidtBreakdownError(f"{kind} {index}: {exc}")
 
 
+def _inverse_norm(r) -> float:
+    """Spectral norm of the triangular ``r``'s inverse; width 1 takes no SVD."""
+    if r.shape[1] == 1:
+        return 1.0 / r[0, 0]
+    return spectral_norm(upper_triangular_inverse(r))
+
+
 def _record(index: int, t_prev: int, panel, res, q) -> BlockRecord:
     """Audit record of ``panel``, whose step result is ``res``.
 
-    Width 1 takes no SVD: the column norm and ``1 / res.r[0, 0]``.  Only
-    the last block takes the defect of ``q``.
+    Width 1 takes no SVD: the column norm, and inverse norms by
+    :func:`_inverse_norm`.  Only the last block takes the defect of ``q``.
     """
     width = panel.shape[1]
-    if width == 1:
-        block_norm = kernels.vec_norm(panel[:, 0])
-        rkk_inv_norm = 1.0 / res.r[0, 0]
-    else:
-        block_norm = spectral_norm(panel)
-        rkk_inv_norm = spectral_norm(upper_triangular_inverse(res.r))
     last = t_prev + width == q.shape[1]
     return BlockRecord(
         index=index,
         t_prev=t_prev,
         width=width,
-        block_norm=block_norm,
-        rkk_inv_norm=rkk_inv_norm,
-        r2_inv_norm=res.r2_inv_norm,
+        block_norm=kernels.vec_norm(panel[:, 0]) if width == 1 else spectral_norm(panel),
+        rkk_inv_norm=_inverse_norm(res.r),
+        r2_inv_norm=None if res.r2 is None else _inverse_norm(res.r2),
         defect=orthogonality_defect(q) if last else None,
     )
 

@@ -25,6 +25,8 @@ def gen_svd_spectrum(m: int, n: int, kappa: float, seed: int) -> np.ndarray:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if not kappa >= 1.0:
         raise ValueError(f"condition target must be >= 1, got {kappa}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))

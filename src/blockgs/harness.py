@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= n <= m, got m={self.m}, n={self.n}")
         if not self.kappa >= 1.0:  # also rejects nan
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.generator == "lauchli" and math.isinf(self.kappa):
             raise ValueError(
                 "the lauchli generator needs a finite kappa (its perturbation "

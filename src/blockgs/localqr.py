@@ -25,18 +25,16 @@ class BlockStepResult:
     """Orthonormalized panel q, triangular coefficient block r, basis
     coefficients s, so that ``b = u @ s + q @ r`` up to roundoff.
 
-    Two-pass steps additionally retain the inner triangular factors ``r1``
-    and ``r2`` and the spectral norm of ``r2``'s inverse, which the
-    stability checks consume.  :func:`local_qr`'s result has an empty basis:
-    ``s`` is 0-by-p and the three two-pass fields are None.
+    Two-pass steps also return ``r2``, the second pass's triangular factor,
+    whose inverse norm the drivers' audit takes for stability check B.
+    :func:`local_qr`'s result has an empty basis: ``s`` is 0-by-p and ``r2``
+    is None, as it is for the one-pass steps.
     """
 
     q: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    r1: np.ndarray | None = None
     r2: np.ndarray | None = None
-    r2_inv_norm: float | None = None
 
 
 def local_qr(b) -> BlockStepResult:
@@ -46,7 +44,7 @@ def local_qr(b) -> BlockStepResult:
     the normalized column.  Wider panels use Householder reflectors with the
     explicit q formed by applying them to the leading columns of the
     identity; signs are flipped so the diagonal of r is nonnegative.  The
-    result's ``s`` is 0-by-p; ``r1``, ``r2`` and ``r2_inv_norm`` are None.
+    result's ``s`` is 0-by-p and its ``r2`` is None.
 
     Raises
     ------

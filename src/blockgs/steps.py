@@ -10,7 +10,10 @@ the width-1 case of :func:`block_cgs2_step`'s.  The scalar step and the
 width-1 block step are separate code but execute the same floating-point
 operations, so the two agree bitwise by computation, not by sharing code.
 :func:`local_qr`, which factors the first block, returns the same type with
-an empty basis: ``s`` is 0-by-p and the two-pass fields are None.
+an empty basis: ``s`` is 0-by-p and ``r2`` is None.  Steps return factors
+only; the drivers' audit takes every norm.  ``spectral_norm`` and
+``upper_triangular_inverse`` are not called here; they stay imported because
+the benchmark's tracer (``perfbench/layers.py``) wraps these module bindings.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ def cgs2_step(u, b) -> BlockStepResult:
 
     ``u`` is m-by-t with orthonormal-to-roundoff columns (the caller's
     responsibility), ``b`` a single column.  Two projection passes are always
-    performed.  The result is the width-1 block step's: ``r = [[r2 * r1]]``,
-    ``s = s1 + s2 * r1``, the pass norms as 1-by-1 ``r1`` and ``r2``, and
-    ``r2_inv_norm = 1 / r2``.  Raises GramSchmidtBreakdownError when either
-    pass leaves an exactly zero remainder, i.e. ``b`` lies in the span of
-    ``u`` to working precision.
+    performed.  The result is the width-1 block step's, with pass norms r1
+    and r2: ``r = [[r2 * r1]]``, ``s = s1 + s2 * r1`` and ``r2 = [[r2]]``.
+    Raises GramSchmidtBreakdownError when either pass leaves an exactly zero
+    remainder, i.e. ``b`` lies in the span of ``u`` to working precision.
     """
     u, b = _validate_pair(u, b)
     if b.shape[1] != 1:
@@ -75,9 +77,7 @@ def cgs2_step(u, b) -> BlockStepResult:
         q=y2 / r2,
         r=np.asfortranarray([[r2 * r1]]),
         s=s1 + s2 * r1,
-        r1=np.asfortranarray([[r1]]),
         r2=np.asfortranarray([[r2]]),
-        r2_inv_norm=1.0 / r2,
     )
 
 
@@ -97,20 +97,11 @@ def block_cgs2_step(u, b) -> BlockStepResult:
     """Two chained one-pass block steps; the second pass repairs the first.
 
     Returns the reorthogonalized panel with the recombined coefficients
-    ``s = s1 + s2 @ r1`` and ``r = r2 @ r1``, plus the audit quantities the
-    stability checks need (both inner triangular factors and the spectral
-    norm of the second one's inverse).
+    ``s = s1 + s2 @ r1`` and ``r = r2 @ r1``, plus the second pass's
+    triangular factor ``r2``, whose inverse norm stability check B reads.
     """
     first = block_cgs_step(u, b)
     second = block_cgs_step(u, first.q)
     s_b = first.s + kernels.matmul(second.s, first.r)
     r_b = kernels.matmul(second.r, first.r)
-    r2_inv_norm = spectral_norm(upper_triangular_inverse(second.r))
-    return BlockStepResult(
-        q=second.q,
-        r=r_b,
-        s=s_b,
-        r1=first.r,
-        r2=second.r,
-        r2_inv_norm=r2_inv_norm,
-    )
+    return BlockStepResult(q=second.q, r=r_b, s=s_b, r2=second.r)

@@ -206,3 +206,41 @@ def test_non_finite_kappa_is_usage_error(tmp_path, capsys, args, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not csv.exists()
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", "cgs", "--m", "10", "--n", "4", "--seed", "-1", "--csv", str(csv)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err
+    assert "Traceback" not in err and not csv.exists()
+
+
+def test_missing_input_file_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    mtx = tmp_path / "missing.mtx"
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", "cgs2", "--gen", "file", "--input", str(mtx), "--csv", str(csv)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(mtx) in err
+    assert "Traceback" not in err and not csv.exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--plot"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
+    bad = tmp_path / "no" / "such" / "dir" / "o.out"
+    outputs = {"--csv": str(tmp_path / "out.csv"), "--plot": str(tmp_path / "out.dat")}
+    outputs[flag] = str(bad)
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "cgs", "--m", "10", "--n", "4",
+            "--csv", outputs["--csv"], "--plot", outputs["--plot"],
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(bad) in err
+    assert "Traceback" not in err and not bad.exists()
+    assert not (tmp_path / "out.dat").exists()

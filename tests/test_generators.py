@@ -41,6 +41,10 @@ class TestSvdSpectrum:
         with pytest.raises(ValueError):
             bg.gen_svd_spectrum(5, 3, kappa=0.5, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            bg.gen_svd_spectrum(10, 4, kappa=10, seed=-1)
+
     def test_rejects_nan_kappa_before_building(self):
         with pytest.raises(ValueError, match="condition target must be >= 1, got nan"):
             bg.gen_svd_spectrum(10, 4, kappa=float("nan"), seed=0)

@@ -52,6 +52,10 @@ class TestConfigValidation:
         # The svd-spectrum generator takes an infinite kappa as before.
         assert _config(kappa=float("inf")).kappa == float("inf")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            _config(seed=-1)
+
     def test_lauchli_needs_its_own_row_count(self):
         # gen_lauchli builds an (n+1) x n matrix whatever m says, so any other
         # m is refused here, not inside run().

@@ -1,5 +1,7 @@
 """Panel factorization tests: contracts, sign convention, the width-1 path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,12 @@ def test_result_is_the_step_against_an_empty_basis(rng, width):
     res = bg.local_qr(rng.standard_normal((12, width)))
     assert isinstance(res, bg.BlockStepResult)
     assert res.s.shape == (0, width)
-    assert res.r1 is None and res.r2 is None and res.r2_inv_norm is None
+    assert res.r2 is None
     assert bg.steps.BlockStepResult is bg.BlockStepResult
+
+
+def test_step_result_fields_are_factors_only():
+    assert [f.name for f in dataclasses.fields(bg.BlockStepResult)] == ["q", "r", "s", "r2"]
 
 
 def test_deterministic(rng):

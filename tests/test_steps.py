@@ -43,12 +43,13 @@ class TestCgs2Step:
 
     def test_result_carries_both_pass_norms(self, rng):
         u = random_orthonormal(12, 3, seed=4)
-        res = bg.cgs2_step(u, np.asfortranarray(rng.standard_normal((12, 1))))
-        r1, r2 = res.r1[0, 0], res.r2[0, 0]
-        assert res.r.shape == res.r1.shape == res.r2.shape == (1, 1)
+        b = np.asfortranarray(rng.standard_normal((12, 1)))
+        res = bg.cgs2_step(u, b)
+        r1 = bg.kernels.vec_norm(bg.steps._project(u, b)[1][:, 0])
+        r2 = res.r2[0, 0]
+        assert res.r.shape == res.r2.shape == (1, 1)
         assert res.r[0, 0] == r2 * r1
         assert r1 > 0.0 and r2 > 0.0
-        assert res.r2_inv_norm == 1.0 / r2
 
     def test_multi_column_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +64,7 @@ class TestBlockCgsStep:
         assert np.array_equal(res.s, np.zeros((1, 2)))
         assert np.array_equal(res.q, b)
         assert np.array_equal(res.r, np.eye(2))
-        assert res.r2_inv_norm is None
+        assert res.r2 is None
 
     def test_duplicated_columns_raise(self, rng):
         # A panel with two bitwise-equal columns projects to two bitwise-equal
@@ -108,7 +109,6 @@ class TestBlockCgs2Step:
         b = np.asfortranarray(rng.standard_normal((30, 4)))
         res = bg.block_cgs2_step(u, b)
         assert np.all(np.tril(res.r, -1) == 0.0)
-        assert np.all(np.tril(res.r1, -1) == 0.0)
         assert np.all(np.tril(res.r2, -1) == 0.0)
 
     def test_reorthogonalizes_ill_conditioned_panel(self):
@@ -118,12 +118,15 @@ class TestBlockCgs2Step:
         assert bg.spectral_norm(bg.matmul(u.T, res.q)) <= 1e-13
         assert bg.orthogonality_defect(res.q) <= 1e-13
 
-    def test_audit_trail_present(self, rng):
-        u = random_orthonormal(25, 5, seed=21)
-        res = bg.block_cgs2_step(u, np.asfortranarray(rng.standard_normal((25, 3))))
-        assert res.r1 is not None and res.r2 is not None
-        expected = bg.spectral_norm(bg.upper_triangular_inverse(res.r2))
-        assert res.r2_inv_norm == expected
+    def test_audit_trail_present(self):
+        # The step returns r2; the driver's record holds its inverse norm.
+        a = bg.gen_svd_spectrum(25, 8, kappa=1e4, seed=21)
+        lo = 5
+        tr = bg.bcgs2(a, bg.BlockPartition((lo, 3)))
+        step = bg.block_cgs2_step(tr.q[:, :lo], a[:, lo:])
+        assert step.q.tobytes() == tr.q[:, lo:].tobytes()
+        expected = bg.spectral_norm(bg.upper_triangular_inverse(step.r2))
+        assert float.hex(tr.per_block[1].r2_inv_norm) == float.hex(expected)
 
     def test_linear_identity_with_growth_bound(self, rng):
         m, t, p = 60, 12, 6
@@ -169,10 +172,7 @@ class TestBlockCgs2Step:
             b = np.asfortranarray(b)
             scalar = bg.cgs2_step(u, b)
             block = bg.block_cgs2_step(u, b)
-            for field in ("q", "r", "s", "r1", "r2"):
+            for field in ("q", "r", "s", "r2"):
                 got, want = getattr(scalar, field), getattr(block, field)
                 assert got.shape == want.shape, field
                 assert got.tobytes() == want.tobytes(), field
-            assert np.float64(scalar.r2_inv_norm).tobytes() == np.float64(
-                block.r2_inv_norm
-            ).tobytes()
