@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point; ``--block`` and ``--blocks`` exclude each other.
 
 Exit codes: 0 on success, 2 on a usage error (an unreadable input or an
 unwritable output among them) or a failed stability check under the strict
@@ -11,21 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .core import BlockPartition
 from .errors import (
     AssumptionFailureError,
     GramSchmidtBreakdownError,
     RankDeficientError,
     SpectralNormError,
 )
-from .harness import METHODS, POLICIES, ExperimentConfig, emit_csv, emit_plotdata, run
+from .harness import GENERATORS, METHODS, POLICIES, ExperimentConfig, emit_csv, emit_plotdata, run
 from .mmio import read_matrix_market
-
-_GEN_NAMES = {
-    "svd": "svd-spectrum",
-    "lauchli": "lauchli",
-    "hilbert": "hilbert-like",
-    "file": "file",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,11 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", required=True, choices=METHODS)
     parser.add_argument("--m", type=int, help="row count (derived for lauchli/file)")
     parser.add_argument("--n", type=int, help="column count (derived for file)")
-    parser.add_argument("--block", type=int, help="uniform block width for bcgs/bcgs2")
-    parser.add_argument(
+    blocking = parser.add_mutually_exclusive_group()
+    blocking.add_argument("--block", type=int, help="uniform block width for bcgs/bcgs2")
+    blocking.add_argument(
         "--blocks", type=str, help="explicit comma-separated block widths, e.g. 4,4,2"
     )
-    parser.add_argument("--gen", default="svd", choices=_GEN_NAMES)
+    parser.add_argument("--gen", default="svd", choices=GENERATORS)
     parser.add_argument(
         "--kappa",
         type=float,
@@ -60,14 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    generator = _GEN_NAMES[args.gen]
     m, n = args.m, args.n
-    if generator == "file":
+    if args.gen == "file":
         if args.input is None:
             raise ValueError("--gen file needs --input")
-        shape = read_matrix_market(args.input).shape
-        m, n = int(shape[0]), int(shape[1])
-    elif generator == "lauchli":
+        m, n = read_matrix_market(args.input).shape
+    elif args.gen == "lauchli":
         if n is None:
             raise ValueError("--gen lauchli needs --n")
         m = n + 1
@@ -75,18 +68,20 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if m is None or n is None:
             raise ValueError(f"--gen {args.gen} needs --m and --n")
     blocks = None
-    if args.blocks is not None:
+    if args.block is not None:
+        blocks = BlockPartition.uniform(n, args.block)
+    elif args.blocks is not None:
         try:
-            blocks = tuple(int(tok) for tok in args.blocks.split(",") if tok)
+            widths = tuple(int(tok) for tok in args.blocks.split(",") if tok)
         except ValueError as exc:
             raise ValueError(f"cannot parse --blocks {args.blocks!r}") from exc
+        blocks = BlockPartition(widths)
     return ExperimentConfig(
         method=args.method,
         m=m,
         n=n,
-        block_width=args.block,
         blocks=blocks,
-        generator=generator,
+        generator=args.gen,
         kappa=args.kappa,
         seed=args.seed,
         policy=args.policy,

@@ -1,15 +1,17 @@
 """Experiment engine: configured trials, stability-check policy, CSV/plot output.
 
-A trial generates one matrix, factors it with the requested method, measures
-the orthogonality defect and relative residual, and (for the two-pass
-methods) evaluates the per-block stability checks.  Under the ``strict``
-policy a failed check aborts the run; under ``warn`` the row records the
-failure and the sweep continues.
+A trial factors one matrix with the requested method, measures the
+orthogonality defect and relative residual, and (for the two-pass methods)
+evaluates the per-block stability checks.  Under the ``strict`` policy a
+failed check aborts the run; under ``warn`` the row records the failure and
+the sweep continues.  ``svd`` draws trial i's matrix with seed ``seed + i``;
+``lauchli``, ``hilbert`` and ``file`` build one read-only matrix per run, and
+every trial factors it.
 
 Every method has a column partition, :meth:`ExperimentConfig.partition`:
-the given or uniform one for ``bcgs``/``bcgs2``, one column per block for
-``cgs``, ``mgs`` and ``cgs2``, and a single block for ``householder``.  Its
-widest block is the row's ``p``.
+the given one for ``bcgs``/``bcgs2``, one column per block for ``cgs``,
+``mgs`` and ``cgs2``, and a single block for ``householder``.  Its widest
+block is the row's ``p``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .localqr import local_qr
 from .mmio import read_matrix_market
 
 METHODS = ("cgs", "mgs", "cgs2", "bcgs", "bcgs2", "householder")
-GENERATORS = ("svd-spectrum", "lauchli", "hilbert-like", "file")
+GENERATORS = ("svd", "lauchli", "hilbert", "file")
 POLICIES = ("strict", "warn")
 
 _DRIVERS = {"cgs": cgs, "mgs": mgs, "cgs2": cgs2, "bcgs": bcgs, "bcgs2": bcgs2}
@@ -45,14 +47,16 @@ _CHECKED_METHODS = {"cgs2", "bcgs2"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: method, problem sizes, generator, policy, trial count."""
+    """One experiment: method, problem sizes, generator, policy, trial count.
+
+    ``blocks`` is the partition that ``bcgs``/``bcgs2`` need and others refuse.
+    """
 
     method: str
     m: int
     n: int
-    block_width: int | None = None
-    blocks: tuple[int, ...] | None = None
-    generator: str = "svd-spectrum"
+    blocks: BlockPartition | None = None
+    generator: str = "svd"
     kappa: float = 1.0
     seed: int = 0
     policy: str = "warn"
@@ -84,13 +88,10 @@ class ExperimentConfig:
                              f"needs m = n + 1 = {self.n + 1}, got m={self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        has_blocking = self.block_width is not None or self.blocks is not None
-        if self.method in _BLOCK_METHODS and not has_blocking:
+        if self.method in _BLOCK_METHODS and self.blocks is None:
             raise ValueError(f"method {self.method!r} needs --block or --blocks")
-        if self.method not in _BLOCK_METHODS and has_blocking:
+        if self.method not in _BLOCK_METHODS and self.blocks is not None:
             raise ValueError(f"method {self.method!r} does not take a block width")
-        if self.block_width is not None and self.blocks is not None:
-            raise ValueError("give either a block width or an explicit partition")
         if self.generator == "file" and self.input_path is None:
             raise ValueError("the file generator needs an input path")
         part = self.partition()
@@ -109,11 +110,8 @@ class ExperimentConfig:
     def partition(self) -> BlockPartition:
         """The method's column partition; its widths sum to ``n``."""
         if self.blocks is not None:
-            part = BlockPartition(self.blocks)
-            part.validate_total(self.n)
-            return part
-        if self.block_width is not None:
-            return BlockPartition.uniform(self.n, self.block_width)
+            self.blocks.validate_total(self.n)
+            return self.blocks
         if self.method == "householder":
             return BlockPartition.single(self.n)
         return BlockPartition.ones(self.n)
@@ -134,22 +132,27 @@ class ReportRow:
     wall_time_seconds: float
 
 
-def _generate(config: ExperimentConfig, trial_seed: int) -> np.ndarray:
-    if config.generator == "svd-spectrum":
-        return gen_svd_spectrum(config.m, config.n, config.kappa, trial_seed)
+def _inputs(config: ExperimentConfig):
+    """Each trial's matrix, in trial order."""
+    if config.generator == "svd":
+        return (gen_svd_spectrum(config.m, config.n, config.kappa, config.seed + i)
+                for i in range(config.trials))
     if config.generator == "lauchli":
         # kappa maps to the perturbation size: eps_val = 1 / kappa.
-        return gen_lauchli(config.n, 1.0 / config.kappa)
-    if config.generator == "hilbert-like":
-        return gen_hilbert_like(config.m, config.n)
-    a = read_matrix_market(config.input_path)
-    # The partition, and so the row's p, was built for config.n columns.
-    if a.shape != (config.m, config.n):
-        raise ValueError(
-            f"{config.input_path}: the matrix is {a.shape[0]}x{a.shape[1]}, "
-            f"but the configuration has m={config.m}, n={config.n}"
-        )
-    return a
+        a = gen_lauchli(config.n, 1.0 / config.kappa)
+    elif config.generator == "hilbert":
+        a = gen_hilbert_like(config.m, config.n)
+    else:
+        a = read_matrix_market(config.input_path)
+        # The partition, and so the row's p, was built for config.n columns.
+        if a.shape != (config.m, config.n):
+            raise ValueError(
+                f"{config.input_path}: the matrix is {a.shape[0]}x{a.shape[1]}, "
+                f"but the configuration has m={config.m}, n={config.n}"
+            )
+    # Every trial shares this one array, so no trial may change it.
+    a.setflags(write=False)
+    return [a] * config.trials
 
 
 def _measured_kappa(a: np.ndarray) -> float:
@@ -160,9 +163,8 @@ def _measured_kappa(a: np.ndarray) -> float:
     return float(sv[0] / smallest)
 
 
-def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
-    a = _generate(config, config.seed + index)
-    m, n = a.shape
+def _run_trial(config: ExperimentConfig, index: int, a: np.ndarray) -> ReportRow:
+    m, n = config.m, config.n
     part = config.partition()
     p = part.max_width
 
@@ -210,7 +212,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> ReportRow:
 
 def run(config: ExperimentConfig) -> list[ReportRow]:
     """Run every trial of a configuration, in trial order."""
-    return [_run_trial(config, i) for i in range(config.trials)]
+    return [_run_trial(config, i, a) for i, a in enumerate(_inputs(config))]
 
 
 def verify_report_contracts(rows: list[ReportRow]) -> None:

@@ -1,11 +1,20 @@
 """CLI tests: argument handling, exit codes, file input, output artifacts."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import blockgs as bg
-from blockgs.cli import main
+from blockgs.cli import build_parser, main
+from blockgs.harness import GENERATORS
 from conftest import degraded_cascade_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_basic_run_writes_csv_and_plot(tmp_path, capsys):
@@ -53,6 +62,22 @@ def test_lauchli_derives_row_count(tmp_path):
     assert code == 0
     row = bg.parse_csv(csv)[0]
     assert (row.m, row.n) == (21, 20)
+
+
+def test_hilbert_trials_factor_one_matrix(tmp_path):
+    csv = tmp_path / "out.csv"
+    code = main([
+        "--method", "mgs", "--m", "30", "--n", "8", "--gen", "hilbert", "--trials", "2",
+        "--csv", str(csv),
+    ])
+    assert code == 0
+    first, second = (dataclasses.replace(r, wall_time_seconds=0.0) for r in bg.parse_csv(csv))
+    assert first == second and (first.m, first.n, first.p) == (30, 8, 1)
+
+
+def test_gen_choices_are_the_harness_generators():
+    (gen,) = [action for action in build_parser()._actions if action.dest == "gen"]
+    assert tuple(gen.choices) == GENERATORS == ("svd", "lauchli", "hilbert", "file")
 
 
 def test_file_input_roundtrip(tmp_path):
@@ -178,6 +203,37 @@ def test_partition_wider_than_stability_checks_allow_is_usage_error(tmp_path, ca
     assert "Traceback" not in err and not csv.exists()
 
 
+def test_block_and_blocks_are_mutually_exclusive(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "bcgs2", "--m", "10", "--n", "2", "--block", "2", "--blocks", "1,1",
+            "--csv", str(csv),
+        ])
+    assert exc.value.code == 2
+    assert "argument --blocks: not allowed with argument --block" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("4,0,4", "all block widths must be >= 1, got (4, 0, 4)"),
+        ("4,x,4", "cannot parse --blocks '4,x,4'"),
+    ],
+)
+def test_bad_block_widths_are_usage_errors(tmp_path, capsys, blocks, message):
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "bcgs2", "--m", "30", "--n", "8", "--blocks", blocks,
+            "--csv", str(csv),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and not csv.exists()
+
+
 def test_partition_that_does_not_cover_is_usage_error(tmp_path, capsys):
     csv = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
@@ -244,3 +300,25 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
     assert "No such file or directory" in err and str(bad) in err
     assert "Traceback" not in err and not bad.exists()
     assert not (tmp_path / "out.dat").exists()
+
+
+def test_module_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    csv = tmp_path / "out.csv"
+
+    def factor(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "blockgs", "--method", "cgs", "--m", "10", "--n", "4",
+             *args, "--csv", str(csv)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = factor()
+    assert done.returncode == 0, done.stderr
+    (row,) = bg.parse_csv(csv)
+    assert (row.method, row.m, row.n, row.p) == ("cgs", 10, 4, 1)
+    csv.unlink()
+    usage = factor("--seed", "-1")
+    assert usage.returncode == 2
+    assert "seed must be >= 0, got -1" in usage.stderr
+    assert "Traceback" not in usage.stderr and not csv.exists()

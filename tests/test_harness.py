@@ -1,11 +1,15 @@
 """Harness tests: trial runs, policies, CSV/plot emission, parallelism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import blockgs as bg
+from blockgs import harness
+from blockgs.bounds import f1, f2
+from blockgs.core import MACHINE_UNIT
 from blockgs.errors import AssumptionFailureError
 from blockgs.harness import _CSV_HEADER
 
@@ -15,8 +19,8 @@ def _config(**overrides):
         method="bcgs2",
         m=40,
         n=16,
-        block_width=4,
-        generator="svd-spectrum",
+        blocks=bg.BlockPartition.uniform(16, 4),
+        generator="svd",
         kappa=1e6,
         seed=7,
         policy="warn",
@@ -29,11 +33,11 @@ def _config(**overrides):
 class TestConfigValidation:
     def test_rejects_block_width_for_column_method(self):
         with pytest.raises(ValueError, match="does not take"):
-            _config(method="cgs", block_width=4)
+            _config(method="cgs", blocks=bg.BlockPartition.uniform(16, 4))
 
     def test_requires_block_for_block_method(self):
         with pytest.raises(ValueError, match="needs --block"):
-            _config(block_width=None)
+            _config(blocks=None)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -47,9 +51,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="kappa must be >= 1, got nan"):
             _config(kappa=float("nan"))
         with pytest.raises(ValueError, match="lauchli generator needs a finite kappa"):
-            _config(method="cgs", block_width=None, generator="lauchli",
+            _config(method="cgs", blocks=None, generator="lauchli",
                     m=6, n=5, kappa=float("inf"))
-        # The svd-spectrum generator takes an infinite kappa as before.
+        # The svd generator takes an infinite kappa as before.
         assert _config(kappa=float("inf")).kappa == float("inf")
 
     def test_rejects_negative_seed(self):
@@ -60,12 +64,14 @@ class TestConfigValidation:
         # gen_lauchli builds an (n+1) x n matrix whatever m says, so any other
         # m is refused here, not inside run().
         with pytest.raises(ValueError, match=r"needs m = n \+ 1 = 41, got m=100"):
-            _config(m=100, n=40, block_width=16, generator="lauchli", kappa=1e4)
+            _config(m=100, n=40, blocks=bg.BlockPartition.uniform(40, 16),
+                    generator="lauchli", kappa=1e4)
         # With its true m = 41 the partition's room check applies: 3 * 16 > 41.
         with pytest.raises(ValueError, match=r"m >= 3 \* 16 = 48, got m=41"):
-            _config(m=41, n=40, block_width=16, generator="lauchli", kappa=1e4)
-        rows = bg.run(_config(m=41, n=40, block_width=8, generator="lauchli",
-                              kappa=1e4, trials=1))
+            _config(m=41, n=40, blocks=bg.BlockPartition.uniform(40, 16),
+                    generator="lauchli", kappa=1e4)
+        rows = bg.run(_config(m=41, n=40, blocks=bg.BlockPartition.uniform(40, 8),
+                              generator="lauchli", kappa=1e4, trials=1))
         assert (rows[0].m, rows[0].n, rows[0].p) == (41, 40, 8)
 
     def test_rejects_partition_wider_than_stability_checks_allow(self):
@@ -74,27 +80,27 @@ class TestConfigValidation:
             ValueError,
             match=r"partition \(16, 16, 16, 16, 16, 16, 4\).*m >= 7 \* 16 = 112, got m=100",
         ):
-            _config(m=100, n=100, block_width=16)
+            _config(m=100, n=100, blocks=bg.BlockPartition.uniform(100, 16))
         with pytest.raises(ValueError, match=r"\(1, 1, 1, 1, 1, 1, 2, 2\).*got m=12"):
-            _config(m=12, n=10, block_width=None, blocks=(1, 1, 1, 1, 1, 1, 2, 2))
+            _config(m=12, n=10, blocks=bg.BlockPartition((1, 1, 1, 1, 1, 1, 2, 2)))
         # bcgs has no stability checks and factors the same matrices.
-        assert len(bg.run(_config(method="bcgs", m=100, n=100, block_width=16,
-                                  trials=1))) == 1
+        assert len(bg.run(_config(method="bcgs", m=100, n=100,
+                                  blocks=bg.BlockPartition.uniform(100, 16), trials=1))) == 1
 
     def test_partition_at_the_stability_check_limit_runs(self):
         # 6 blocks of width up to 2 need exactly m = 12.
-        cfg = _config(m=12, n=10, block_width=None, blocks=(1, 1, 2, 2, 2, 2),
+        cfg = _config(m=12, n=10, blocks=bg.BlockPartition((1, 1, 2, 2, 2, 2)),
                       kappa=10.0, trials=1)
         (row,) = bg.run(cfg)
         assert (row.m, row.n, row.p) == (12, 10, 2)
 
     def test_explicit_partition(self):
-        cfg = _config(block_width=None, blocks=(8, 4, 4))
+        cfg = _config(blocks=bg.BlockPartition((8, 4, 4)))
         assert cfg.partition().widths == (8, 4, 4)
 
     def test_partition_must_cover(self):
         with pytest.raises(ValueError, match="widths sum to 12, but the matrix has 16"):
-            _config(block_width=None, blocks=(8, 4))
+            _config(blocks=bg.BlockPartition((8, 4)))
 
 
 class TestRun:
@@ -115,7 +121,7 @@ class TestRun:
 
     def test_every_method_runs(self):
         for method in ("cgs", "mgs", "cgs2", "householder"):
-            rows = bg.run(_config(method=method, block_width=None, trials=1))
+            rows = bg.run(_config(method=method, blocks=None, trials=1))
             assert len(rows) == 1 and rows[0].method == method
         rows = bg.run(_config(method="bcgs", trials=1))
         assert rows[0].method == "bcgs"
@@ -147,6 +153,53 @@ class TestRun:
             bg.run(cfg)
 
 
+def _untimed(rows):
+    return [dataclasses.replace(row, wall_time_seconds=0.0) for row in rows]
+
+
+class TestInputs:
+    def test_file_is_read_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.mtx"
+        bg.write_matrix_market(path, bg.gen_svd_spectrum(30, 8, kappa=1e4, seed=1))
+        reads = []
+
+        def counting_read(source):
+            reads.append(source)
+            return bg.read_matrix_market(source)
+
+        monkeypatch.setattr(harness, "read_matrix_market", counting_read)
+        rows = bg.run(bg.ExperimentConfig(method="cgs2", m=30, n=8, generator="file",
+                                          input_path=str(path), trials=3))
+        assert reads == [str(path)]
+        assert len(rows) == 3 and _untimed(rows) == _untimed(rows[:1]) * 3
+
+    @pytest.mark.parametrize("generator", ["lauchli", "hilbert", "file"])
+    def test_seedless_trials_share_one_read_only_matrix(self, tmp_path, generator):
+        path = tmp_path / "a.mtx"
+        bg.write_matrix_market(path, np.arange(1.0, 13.0).reshape(4, 3))
+        cfg = bg.ExperimentConfig(method="cgs", m=4, n=3, generator=generator, kappa=10.0,
+                                  input_path=str(path), trials=3)
+        first, *rest = harness._inputs(cfg)
+        assert len(rest) == 2 and all(a is first for a in rest)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+
+    def test_svd_draws_trial_i_with_seed_plus_i(self):
+        cfg = _config(trials=3)
+        for i, a in enumerate(harness._inputs(cfg)):
+            expected = bg.gen_svd_spectrum(cfg.m, cfg.n, cfg.kappa, cfg.seed + i)
+            assert a.tobytes() == expected.tobytes() and a.flags.writeable
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_every_method_factors_a_shared_read_only_matrix(self, method):
+        blocks = bg.BlockPartition.uniform(12, 4) if method in ("bcgs", "bcgs2") else None
+        rows = bg.run(bg.ExperimentConfig(method=method, m=30, n=12, blocks=blocks,
+                                          generator="hilbert", trials=2))
+        assert _untimed(rows[:1]) == _untimed(rows[1:])
+        assert math.isfinite(rows[0].defect) and rows[0].rel_residual < 1e-12
+
+
 class TestPolicies:
     def test_strict_aborts_on_degraded_matrix(self, tmp_path):
         from conftest import degraded_cascade_matrix
@@ -156,7 +209,7 @@ class TestPolicies:
         bg.write_matrix_market(path, a)
         cfg = bg.ExperimentConfig(
             method="bcgs2", m=a.shape[0], n=a.shape[1],
-            block_width=part.max_width, generator="file", input_path=str(path),
+            blocks=part, generator="file", input_path=str(path),
             policy="strict", trials=1,
         )
         with pytest.raises(AssumptionFailureError) as info:
@@ -172,7 +225,7 @@ class TestPolicies:
         bg.write_matrix_market(path, a)
         cfg = bg.ExperimentConfig(
             method="bcgs2", m=a.shape[0], n=a.shape[1],
-            block_width=part.max_width, generator="file", input_path=str(path),
+            blocks=part, generator="file", input_path=str(path),
             policy="warn", trials=1,
         )
         rows = bg.run(cfg)
@@ -229,7 +282,7 @@ class TestEmission:
 
     def test_plotdata_series_per_method(self, tmp_path):
         rows = bg.run(_config(trials=2)) + bg.run(
-            _config(method="cgs", block_width=None, trials=2)
+            _config(method="cgs", blocks=None, trials=2)
         )
         path = tmp_path / "plot.dat"
         bg.emit_plotdata(rows, path)
@@ -245,8 +298,44 @@ class TestEmission:
         cgs_defects, bcgs2_defects = [], []
         for kappa in (1e2, 1e6, 1e10):
             cgs_defects.append(
-                bg.run(_config(method="cgs", block_width=None, trials=1, kappa=kappa))[0].defect
+                bg.run(_config(method="cgs", blocks=None, trials=1, kappa=kappa))[0].defect
             )
             bcgs2_defects.append(bg.run(_config(trials=1, kappa=kappa))[0].defect)
         assert cgs_defects[0] < cgs_defects[1] < cgs_defects[2]
         assert all(d <= 1e-13 for d in bcgs2_defects)
+
+
+class TestReportContracts:
+    # A bcgs2 row with m=200, n=64, p=8 is bounded at its last block, t = 56.
+    DEFECT_BOUND = 10.0 * MACHINE_UNIT * f1(200, 56, 8)
+    RESID_BOUND = 10.0 * MACHINE_UNIT * f2(200, 56, 8)
+
+    @staticmethod
+    def _row(method="bcgs2", defect=0.0, resid=0.0, passed=True):
+        return bg.ReportRow(method, 200, 64, 8, 1.0, defect, resid, passed, 0.0)
+
+    def test_rows_at_the_bounds_pass(self):
+        bg.verify_report_contracts([self._row(defect=self.DEFECT_BOUND,
+                                              resid=self.RESID_BOUND)])
+
+    def test_defect_above_its_bound_raises(self):
+        row = self._row(defect=2.0 * self.DEFECT_BOUND)
+        with pytest.raises(AssertionError, match=(
+            rf"^defect {row.defect:.3e} exceeds bound {self.DEFECT_BOUND:.3e} "
+            r"for bcgs2 m=200 n=64 p=8$"
+        )):
+            bg.verify_report_contracts([self._row(), row])
+
+    def test_residual_above_its_bound_raises(self):
+        row = self._row(resid=2.0 * self.RESID_BOUND)
+        with pytest.raises(AssertionError, match=(
+            rf"^residual {row.rel_residual:.3e} exceeds bound {self.RESID_BOUND:.3e} "
+            r"for bcgs2 m=200 n=64 p=8$"
+        )):
+            bg.verify_report_contracts([row])
+
+    def test_unchecked_methods_and_failed_checks_are_skipped(self):
+        bg.verify_report_contracts([
+            self._row(method="cgs", defect=1.0, resid=1.0),
+            self._row(defect=1.0, resid=1.0, passed=False),
+        ])
