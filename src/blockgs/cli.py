@@ -9,6 +9,8 @@ remainder, or an SVD that does not converge).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .core import BlockPartition
@@ -90,12 +92,34 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, without touching it.
+
+    The outputs are written after the sweep; checking them first reports a
+    bad path before any trial runs, and a sweep that breaks down still
+    leaves no file behind.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
-    except (OSError, ValueError) as exc:  # OSError: --input cannot be read
+        for path in (args.csv, args.plot):
+            if path is not None:
+                _check_writable(path)
+    except (OSError, ValueError) as exc:  # OSError: a bad --input or output
         parser.error(str(exc))
 
     try:

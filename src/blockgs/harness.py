@@ -88,6 +88,11 @@ class ExperimentConfig:
                              f"needs m = n + 1 = {self.n + 1}, got m={self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.blocks is not None and not isinstance(self.blocks, BlockPartition):
+            raise TypeError(
+                "blocks must be a BlockPartition or None, got "
+                f"{type(self.blocks).__name__} {self.blocks!r}"
+            )
         if self.method in _BLOCK_METHODS and self.blocks is None:
             raise ValueError(f"method {self.method!r} needs --block or --blocks")
         if self.method not in _BLOCK_METHODS and self.blocks is not None:

@@ -21,6 +21,30 @@ Norms are ``np.add.accumulate``, which sums strictly left to right.  Reduced
 along a contiguous axis, or with one entry per row, numpy would sum pairwise,
 and BLAS products reorder the sum, so ``np.sum``, ``np.dot``, ``np.matmul``,
 ``np.einsum`` and ``@`` round differently and are never used.
+
+Most of the kernels' time goes into forming product terms with broadcast
+multiplies such as ``b[:, :, None] * a.T[:, None, :]``.  When the output's
+contiguous axis is shorter than numpy's ufunc buffer (8192 entries), the
+buffered iterator stages the operands through that buffer; with numpy's
+smallest buffer, ``np.setbufsize(16)``, the SIMD inner loop runs on the
+arrays directly.  A (R,1)x(1,C) multiply took 0.73-0.98 ns per entry for
+C = 128-2000 with the default buffer and 0.21-0.35 ns with the smallest
+one (numpy 2.4.6, 2-core x86-64 Xeon).  At C = 16, 32, 48, 64 and 128 the
+two read 1.15 vs 2.26, 1.12 vs 1.16, 0.82 vs 0.81, 1.08 vs 0.62 and 0.75
+vs 0.35 ns, so a multiply runs unbuffered only when that axis holds at
+least ``_UNBUFFERED_MIN`` = 64 entries: ``m`` for the product's term
+buffer, ``n`` for a one-row output (numpy merges its axes), ``m`` for the
+rank-1 path's scratch and its in-place add, and ``p - j`` for the
+Householder trailing updates.  Each switch of buffer costs about 2 us, so
+the term multiply also needs ``_UNBUFFERED_MIN_TERMS`` terms per chunk:
+without that, 200x16.16x1 took 1.18x the buffered time.  Where such a
+multiply reads the rows of ``a.T`` at a stride (``a`` is ``u.T`` or
+``q.T``) and has at least 4 output columns, ``a.T`` is copied row-major
+once per product.  The sums, ``np.add.reduce`` and ``np.add.accumulate``,
+keep the caller's buffer: with the smallest one a 256x128 reduce took 14.0
+against 8.6 us.  The buffer size changes only which copies numpy makes,
+never an operation or its order, so the bits are the same under any
+buffer; each kernel gives the caller back its own buffer size.
 """
 
 from __future__ import annotations
@@ -33,6 +57,53 @@ import numpy as np
 def backend() -> str:
     """Name of the kernel implementation: always ``"numpy"``."""
     return "numpy"
+
+
+# ---------------------------------------------------------------------------
+# ufunc buffer
+# ---------------------------------------------------------------------------
+
+
+#: Fewest entries on the contiguous axis of a broadcast multiply's output
+#: for which the multiply runs with numpy's smallest ufunc buffer.  Below
+#: it the default buffer is as fast or faster.
+_UNBUFFERED_MIN = 64
+
+#: Fewest terms in a chunk for which the product's term multiply switches
+#: buffers.  The switch costs about 2 us; 200x16.16x1 took 1.18x and
+#: 200x48.48x1 0.89x the buffered time.
+_UNBUFFERED_MIN_TERMS = 8192
+
+
+class _small_buffer:
+    """Context in which ufuncs use numpy's smallest buffer, when ``on``.
+
+    On exit the caller's buffer size is set back, however the body ends:
+    before numpy 2.0, ``np.errstate`` does not restore it.
+    """
+
+    __slots__ = ("_on", "_old")
+
+    def __init__(self, on=True):
+        self._on = on
+
+    def __enter__(self):
+        if self._on:
+            self._old = np.setbufsize(16)
+
+    def __exit__(self, *exc):
+        if self._on:
+            np.setbufsize(self._old)
+
+
+def _multiply_unbuffered(x, y, out):
+    # One np.multiply under _small_buffer(), without the object: it runs
+    # once per chunk of product terms.
+    old = np.setbufsize(16)
+    try:
+        np.multiply(x, y, out=out)
+    finally:
+        np.setbufsize(old)
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +143,17 @@ def _matmul_fill_numpy(a, b, out):
         # One rank-1 update per inner index on column chunks of out: every
         # entry gets the same rounded product added in the same order.
         width = max(1, _MATMUL_CHUNK // m)
-        np.multiply(a[:, :1], b[:1, :], out=out)
         tmp = np.empty((m, min(width, n)), order="F")
-        for lo in range(0, n, width):
-            chunk = out[:, lo : lo + width]
-            scratch = tmp[:, : chunk.shape[1]]
-            # a_k is column k of a as m-by-1, b_k row k of b's chunk as 1-by-width.
-            for a_k, b_k in zip(a.T[1:, :, None], b[1:, None, lo : lo + width]):
-                np.multiply(a_k, b_k, out=scratch)
-                chunk += scratch
+        with _small_buffer(m >= _UNBUFFERED_MIN):
+            np.multiply(a[:, :1], b[:1, :], out=out)
+            for lo in range(0, n, width):
+                chunk = out[:, lo : lo + width]
+                scratch = tmp[:, : chunk.shape[1]]
+                # a_k is column k of a as m-by-1, b_k row k of b's chunk as
+                # 1-by-width.
+                for a_k, b_k in zip(a.T[1:, :, None], b[1:, None, lo : lo + width]):
+                    np.multiply(a_k, b_k, out=scratch)
+                    chunk += scratch
         return
     # Row t of a chunk holds the terms of inner index lo + t, laid out like
     # out (buf[t, j, i] = b[k, j] * a[i, k]), so its sums land in out's
@@ -91,9 +164,20 @@ def _matmul_fill_numpy(a, b, out):
     buf = np.empty((terms, n, m))
     rows = buf.reshape(terms, size)
     acc = out.T.reshape(size)
+    # numpy merges a one-row output's (n, 1) rows into one axis of n entries.
+    unbuffered = (
+        (m if m > 1 else n) >= _UNBUFFERED_MIN
+        and terms * size >= _UNBUFFERED_MIN_TERMS
+    )
+    multiply = _multiply_unbuffered if unbuffered else np.multiply
+    at = a.T
+    if unbuffered and n >= 4 and at.strides[1] != at.itemsize:
+        # a = u.T or q.T leaves a.T's rows strided: copy them once, so
+        # every term row reads contiguous memory.
+        at = np.ascontiguousarray(at)
     for lo in range(0, kk, terms):
         hi = min(lo + terms, kk)
-        np.multiply(b[lo:hi, :, None], a.T[lo:hi, None, :], out=buf[: hi - lo])
+        multiply(b[lo:hi, :, None], at[lo:hi, None, :], out=buf[: hi - lo])
         blk = rows[: hi - lo]
         if lo:
             blk[0] += acc
@@ -146,12 +230,14 @@ def _householder_fill_numpy(r, q, v, beta):
         v[j, j] = r[j, j] + s * normx
         beta[j] = 2.0 / _sumsq_numpy(v[j:, j])
         w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:])
-        r[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
+        with _small_buffer(p - j >= _UNBUFFERED_MIN):
+            r[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
     # Reflector j acts on q[j:, j:] only: columns < j of those rows are
     # still exact zeros, as in LAPACK's dorg2r, so skipping them is exact.
     for j in range(p - 1, -1, -1):
         w = _weighted_row_sum_numpy(v[j:, j], q[j:, j:])
-        q[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
+        with _small_buffer(p - j >= _UNBUFFERED_MIN):
+            q[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -112,12 +112,16 @@ def test_hard_breakdown_exits_1(tmp_path, capsys):
     a = np.hstack([col, col])
     mtx = tmp_path / "dup.mtx"
     bg.write_matrix_market(mtx, a)
-    code = main([
-        "--method", "bcgs2", "--gen", "file", "--input", str(mtx),
-        "--block", "2", "--csv", str(tmp_path / "out.csv"),
-    ])
-    assert code == 1
+    csv = tmp_path / "out.csv"
+    args = ["--method", "bcgs2", "--gen", "file", "--input", str(mtx), "--block", "2",
+            "--csv", str(csv)]
+    assert main(args) == 1
     assert "breakdown" in capsys.readouterr().err
+    # The output is checked before the sweep, not created or truncated.
+    assert not csv.exists()
+    csv.write_text("kept\n")
+    assert main(args) == 1
+    assert csv.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("method", ["cgs", "bcgs2"])
@@ -300,6 +304,50 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
     assert "No such file or directory" in err and str(bad) in err
     assert "Traceback" not in err and not bad.exists()
     assert not (tmp_path / "out.dat").exists()
+
+
+def _no_sweep(config):
+    raise AssertionError("the sweep ran before the outputs were checked")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--plot"])
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("missing-dir", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("read-only", "Permission denied"),
+    ],
+)
+def test_unwritable_output_is_reported_before_the_sweep(
+    tmp_path, capsys, monkeypatch, flag, kind, message
+):
+    outputs = {"--csv": tmp_path / "out.csv", "--plot": tmp_path / "out.dat"}
+    if kind == "missing-dir":
+        outputs[flag] = tmp_path / "no" / "o.out"
+    elif kind == "directory":
+        outputs[flag] = tmp_path
+    else:
+        # Permissions do not bind every user, so the check's own view of
+        # them is what is refused here.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        outputs[flag] = locked / "o.out"
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda p, mode: p != str(locked) and real_access(p, mode)
+        )
+    monkeypatch.setattr("blockgs.cli.run", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "--method", "cgs", "--m", "10", "--n", "4",
+            "--csv", str(outputs["--csv"]), "--plot", str(outputs["--plot"]),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(outputs[flag]) in err
+    assert "Traceback" not in err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
 def test_module_entry_point(tmp_path):

@@ -98,6 +98,13 @@ class TestConfigValidation:
         cfg = _config(blocks=bg.BlockPartition((8, 4, 4)))
         assert cfg.partition().widths == (8, 4, 4)
 
+    def test_rejects_a_partition_that_is_not_a_block_partition(self):
+        # The tuple is not coerced: BlockPartition((8, 4, 4)) is the one form.
+        with pytest.raises(TypeError, match=r"BlockPartition or None, got tuple \(8, 4, 4\)"):
+            _config(blocks=(8, 4, 4))
+        with pytest.raises(TypeError, match="got list"):
+            _config(method="cgs", blocks=[1] * 16)
+
     def test_partition_must_cover(self):
         with pytest.raises(ValueError, match="widths sum to 12, but the matrix has 16"):
             _config(blocks=bg.BlockPartition((8, 4)))

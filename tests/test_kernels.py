@@ -1,6 +1,7 @@
 """Kernel-level tests: fixed summation order against scalar oracles, determinism."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from blockgs import kernels
+from blockgs import BlockPartition, bcgs2, kernels
+from blockgs.errors import RankDeficientError
+from test_golden import GOLDEN, _digests
 
 
 # Plain-Python scalar loops with the kernels' operation order: the bitwise
@@ -203,6 +206,9 @@ MATMUL_CHUNK = kernels._MATMUL_CHUNK
         (MATMUL_CHUNK // 200 + 1, 200, 1),
         (512, 3, 1),
         (513, 3, 1),
+        # 8000 and 8200 terms in one chunk: around _UNBUFFERED_MIN_TERMS.
+        (200, 40, 1),
+        (200, 41, 1),
     ],
 )
 def test_matmul_numpy_matches_scalar_source(rng, shape):
@@ -276,7 +282,8 @@ def _terms_per_chunk(m, n):
 
 # Output shapes at the boundaries of the chunked sum: one entry (accumulate),
 # one row or column, 2, 7 and 8 entries (accumulate below 8, reduce from 8),
-# and a wide output whose chunks hold the fewest terms that still reduce.
+# a wide output whose chunks hold the fewest terms that still reduce, and
+# the outputs around _UNBUFFERED_MIN below.
 _BOUNDARY_OUTPUTS = [
     (1, 1),
     (1, 2),
@@ -290,6 +297,18 @@ _BOUNDARY_OUTPUTS = [
     (17, 1),
     (3, 5),
     (64, 64),
+    # Term buffers whose contiguous axis, m (n for one row), has 63, 64 or
+    # 65 entries: below and at the unbuffered rule.  With 4 or more columns
+    # the C-ordered layouts also take the row-major copy of a.T.
+    (63, 1),
+    (64, 1),
+    (65, 1),
+    (63, 4),
+    (64, 3),
+    (64, 4),
+    (65, 8),
+    (1, 63),
+    (1, 64),
 ]
 
 
@@ -322,6 +341,8 @@ def test_matmul_numpy_matches_scalar_source_at_chunk_boundaries(
         (100, 7, 50),  # kc = 6 < 8 terms per chunk: rank-1 updates
         (100, 60, 50),
         (64, 9, 65),  # 4160 entries, kc = 7: rank-1 updates
+        (63, 9, 66),  # rank-1 updates on 63-row columns: buffered
+        (65, 9, 64),  # rank-1 updates on 65-row columns: unbuffered
         (64, 8, 64),  # 4096 entries, kc = 8: chunks of terms
         (64, 9, 64),
         (200, 3, 200),  # more entries than one chunk: rank-1 updates
@@ -428,6 +449,11 @@ REDUCE_MIN_SIZE = kernels._REDUCE_MIN_SIZE
         (2 * ROW_CHUNK + 1, 16),
         (40, 32),
         (ROW_CHUNK + 1, 9),
+        # Trailing updates of p - j >= 64 columns run unbuffered.
+        (65, 63),
+        (66, 64),
+        (67, 65),
+        (68, 66),
     ],
 )
 def test_householder_numpy_matches_scalar_source(rng, shape):
@@ -573,6 +599,83 @@ def test_matmul_matches_scalar_source_property(operands):
     a, b = operands
     expected = pure_python_matmul(a, b)
     assert kernels.matmul(a, b).tobytes() == expected.tobytes()
+
+
+def _unbuffered_calls():
+    # One call down each unbuffered path: a term buffer of 80-row outputs
+    # from a strided u.T (copied row-major), rank-1 updates of 300-row
+    # columns, a 70-wide reflector row, 66-wide Householder updates, and a
+    # bcgs2 whose last projection has 64 rows.
+    rng = np.random.default_rng(5)
+    u = _fortran(rng, (300, 80))
+    b = _fortran(rng, (300, 16))
+    return {
+        "matmul-terms": lambda: kernels.matmul(u.T, b),
+        "matmul-rank1": lambda: kernels.matmul(u, u.T[:, :16]),
+        "dot": lambda: kernels.dot(b[:, 0], u[:, :70]),
+        "householder_qr": lambda: kernels.householder_qr(u[:70, :66]),
+        "bcgs2": lambda: bcgs2(u, BlockPartition.uniform(80, 16)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_unbuffered_calls()))
+def test_kernels_give_back_the_callers_buffer_size(name):
+    call = _unbuffered_calls()[name]
+    default = np.getbufsize()
+    call()
+    assert np.getbufsize() == default
+    old = np.setbufsize(4096)
+    try:
+        call()
+        assert np.getbufsize() == 4096
+        # numpy 2's errstate restores the buffer size on exit; check inside.
+        with np.errstate(over="ignore"):
+            call()
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+def test_kernels_give_back_the_buffer_size_when_they_raise(rng):
+    # A breakdown after unbuffered projections of 80-row outputs.
+    a = _fortran(rng, (200, 96))
+    a[:, 80:] = 0.0
+    # inf * 0 raises inside the unbuffered multiply itself.
+    u = _fortran(rng, (200, 80))
+    u[3, 5] = np.inf
+    b = _fortran(rng, (200, 16))
+    b[3] = 0.0
+    old = np.setbufsize(4096)
+    try:
+        with pytest.raises(RankDeficientError, match="block 6"):
+            bcgs2(a, BlockPartition.uniform(96, 16))
+        assert np.getbufsize() == 4096
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                kernels.matmul(u.T, b)
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+def _golden_cases_over_the_rule():
+    # The golden factorizations of at least 64 rows and 24 columns: their
+    # projections' m-row outputs run unbuffered, their Gram tiles do not.
+    golden = json.loads(GOLDEN.read_text())
+    shapes = {case: tuple(map(int, case.split("/")[2].split("x"))) for case in golden}
+    return {case: golden[case] for case, (m, n) in shapes.items() if m >= 64 and n >= 24}
+
+
+@pytest.mark.parametrize("bufsize", [16, 1 << 16])
+def test_factors_do_not_depend_on_the_callers_buffer_size(bufsize):
+    expected = _golden_cases_over_the_rule()
+    assert len(expected) >= 12
+    old = np.setbufsize(bufsize)
+    try:
+        got = {case: _digests(case) for case in expected}
+    finally:
+        np.setbufsize(old)
+    assert got == expected
 
 
 # Calls that sum pairwise or through BLAS, in a different order from the
