@@ -7,8 +7,9 @@ which is enough to certify near-orthogonality of the accumulated basis.
 
 All functions take the row count ``m``, the number of previously processed
 columns ``t`` and the block width ``p``; ``t`` must be a multiple of ``p``
-where a block count is implied.  For partitions with unequal widths the
-checks are evaluated at ``p = max(widths)`` and ``t = (k - 1) * p``.
+where a block count is implied.  The checks evaluate block k at ``p = max(widths)``
+and ``t = (k - 1) * p``, so they can audit a partition on ``m`` rows only when
+block count times widest block is at most ``m`` (:func:`_require_auditable`).
 
 The bounds are the paper's for binary64: the unit roundoff is the constant
 ``MACHINE_UNIT`` (2^-53) and the panel-QR constant in ``l1`` is 1.
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import MACHINE_UNIT
+from .core import MACHINE_UNIT, BlockPartition
 
 if TYPE_CHECKING:  # pragma: no cover
     from .drivers import FactorizationTrace
@@ -147,15 +148,25 @@ def orthogonality_step_constant(m: int, t: int, p: int) -> float:
     return math.sqrt(prev * prev + 2.0 * cross * cross + corner * corner)
 
 
+def _require_auditable(part: BlockPartition, m: int) -> None:
+    """Raise unless the stability checks can audit ``part`` on ``m`` rows."""
+    need = part.count * part.max_width
+    if need > m:
+        raise ValueError(
+            f"the stability checks on partition {part.widths} ({part.count} blocks, widest "
+            f"{part.max_width}) need m >= {part.count} * {part.max_width} = {need}, got m={m}"
+        )
+
+
 @dataclass(frozen=True)
 class BoundContext:
     """The problem the bounds are evaluated for: ``m`` rows, ``n`` columns
     and block width ``p`` (the maximum width for unequal partitions).
 
-    It names the last block, ``blocks = ceil(n / p)`` at
-    ``t_last = (blocks - 1) * p``, and the constructor verifies that the
-    defect bound stays meaningful (below 1) out to it.  The growth
-    functions are the module functions, called with ``m`` and ``p``.
+    It names the last block of the uniform partition, ``blocks = ceil(n / p)``
+    at ``t_last = (blocks - 1) * p``; the constructor verifies that the checks
+    can audit that partition and that the defect bound stays below 1 there.
+    The growth functions are the module functions, called with ``m`` and ``p``.
     """
 
     m: int
@@ -170,6 +181,7 @@ class BoundContext:
             )
         if not self.p <= self.n <= self.m:
             raise ValueError(f"need p <= n <= m, got n={self.n}")
+        _require_auditable(BlockPartition.uniform(self.n, self.p), self.m)
         if MACHINE_UNIT * f1(self.m, self.t_last, self.p) >= 1.0:
             raise ValueError(
                 f"eps * f1({self.m}, {self.t_last}, {self.p}) >= 1: the "
@@ -212,9 +224,14 @@ def check_assumptions(trace: "FactorizationTrace", ctx: BoundContext) -> list[As
 
     The trace must carry the reorthogonalization audit quantities (inverse
     norms of the second-pass triangular factors), i.e. come from a two-pass
-    method.  A singular diagonal block shows up as an infinite check-A
-    left-hand side, not an exception.
+    method.  ``ctx.p`` must be the trace's widest block, and the trace's
+    partition must be auditable on ``ctx.m`` rows.  A singular diagonal
+    block shows up as an infinite check-A left-hand side, not an exception.
     """
+    part = BlockPartition(tuple(rec.width for rec in trace.per_block))
+    if ctx.p != part.max_width:
+        raise ValueError(f"ctx.p={ctx.p} is not the trace's widest block, {part.max_width}")
+    _require_auditable(part, ctx.m)
     verdicts = []
     for rec in trace.per_block[1:]:
         k = rec.index

@@ -9,6 +9,7 @@ every spectral norm is the largest singular value from a full SVD.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -165,7 +166,8 @@ class BlockPartition:
     widths: tuple[int, ...]
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
+        # operator.index, not int: a float or string width is an error.
+        widths = tuple(operator.index(w) for w in self.widths)
         object.__setattr__(self, "widths", widths)
         if len(widths) < 1:
             raise ValueError("a partition needs at least one block")
@@ -189,9 +191,7 @@ class BlockPartition:
     @classmethod
     def single(cls, n: int) -> "BlockPartition":
         """One block holding every column."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        return cls((n,))
+        return cls.uniform(n, n)
 
     @property
     def count(self) -> int:
@@ -212,11 +212,15 @@ class BlockPartition:
             yield start, start + w
             start += w
 
-    def validate_total(self, ncols: int) -> None:
-        if self.total != ncols:
-            raise ValueError(
-                f"partition widths sum to {self.total}, but the matrix has {ncols} columns"
-            )
+
+def _require_partition(blocks, ncols: int) -> None:
+    """Raise unless ``blocks`` is a BlockPartition (nothing is coerced) of ``ncols``."""
+    if not isinstance(blocks, BlockPartition):
+        raise TypeError(f"blocks must be a BlockPartition, got {type(blocks).__name__} {blocks!r}")
+    if blocks.total != ncols:
+        raise ValueError(
+            f"partition widths sum to {blocks.total}, but the matrix has {ncols} columns"
+        )
 
 
 @dataclass(frozen=True)

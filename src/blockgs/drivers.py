@@ -11,7 +11,7 @@ without refactoring, and the defect of the finished ``Q`` on the last record.
 :func:`_gram_schmidt`, that differs only in its intra-block step:
 
 * ``bcgs2`` passes :func:`block_cgs2_step` and ``bcgs`` passes
-  :func:`block_cgs_step`, over the caller's partition;
+  :func:`block_cgs_step`, over the caller's :class:`BlockPartition`;
 * ``cgs`` passes :func:`block_cgs_step` over the all-ones partition;
 * ``cgs2`` passes :func:`cgs2_step` over the all-ones partition.  Every
   step returns a :class:`BlockStepResult`; ``cgs2_step``'s is the width-1
@@ -56,6 +56,7 @@ from .core import (
     BlockPartition,
     QRFactorization,
     _require_finite,
+    _require_partition,
     as_matrix,
     orthogonality_defect,
     spectral_norm,
@@ -114,13 +115,6 @@ class FactorizationTrace:
         return self.factorization.r
 
 
-def _as_partition(blocks, n: int) -> BlockPartition:
-    if not isinstance(blocks, BlockPartition):
-        blocks = BlockPartition(tuple(blocks))
-    blocks.validate_total(n)
-    return blocks
-
-
 def _validate_input(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
@@ -164,16 +158,13 @@ def _record(index: int, t_prev: int, panel, res, q) -> BlockRecord:
 def _gram_schmidt(a, blocks, step, unit: str) -> FactorizationTrace:
     """The block Gram-Schmidt loop shared by ``cgs``, ``cgs2``, ``bcgs``, ``bcgs2``.
 
-    The first block is factored by :func:`local_qr`; every later block is
-    absorbed by ``step(q[:, :lo], panel)``.  Either way the triangular
-    factor grows by the bordered update ``r = [[r, s], [0, r_new]]``, with
-    an empty ``s`` for the first block.  ``blocks`` None means one column
-    per block.  Breakdowns are re-raised as ``"<unit> k: ..."``.
+    ``a`` and its partition ``blocks`` are validated.  The first block is
+    factored by :func:`local_qr`; every later block is absorbed by
+    ``step(q[:, :lo], panel)``.  Either way the triangular factor grows by
+    the bordered update ``r = [[r, s], [0, r_new]]``, with an empty ``s``
+    for the first block.  Breakdowns are re-raised as ``"<unit> k: ..."``.
     """
-    a = _validate_input(a)
     m, n = a.shape
-    blocks = BlockPartition.ones(n) if blocks is None else _as_partition(blocks, n)
-
     q = np.zeros((m, n), order="F")
     r = np.zeros((n, n), order="F")
     records = []
@@ -195,13 +186,17 @@ def bcgs2(a, blocks) -> FactorizationTrace:
 
     The first block goes through the panel factorization directly; every
     later block is absorbed with a two-pass block step.  Breakdowns raise
-    :class:`RankDeficientError` naming the block.
+    :class:`RankDeficientError` naming the block.  ``blocks`` is a BlockPartition.
     """
+    a = _validate_input(a)
+    _require_partition(blocks, a.shape[1])
     return _gram_schmidt(a, blocks, block_cgs2_step, "block")
 
 
 def bcgs(a, blocks) -> FactorizationTrace:
     """One-pass block classical Gram-Schmidt baseline."""
+    a = _validate_input(a)
+    _require_partition(blocks, a.shape[1])
     return _gram_schmidt(a, blocks, block_cgs_step, "block")
 
 
@@ -214,12 +209,14 @@ def cgs2(a) -> FactorizationTrace:
     column raises :class:`RankDeficientError`; a later column that vanishes
     raises :class:`GramSchmidtBreakdownError`; both name the column.
     """
-    return _gram_schmidt(a, None, cgs2_step, "column")
+    a = _validate_input(a)
+    return _gram_schmidt(a, BlockPartition.ones(a.shape[1]), cgs2_step, "column")
 
 
 def cgs(a) -> FactorizationTrace:
     """One-pass classical Gram-Schmidt baseline: ``bcgs`` with one column per block."""
-    return _gram_schmidt(a, None, block_cgs_step, "column")
+    a = _validate_input(a)
+    return _gram_schmidt(a, BlockPartition.ones(a.shape[1]), block_cgs_step, "column")
 
 
 def mgs(a) -> FactorizationTrace:

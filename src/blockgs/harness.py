@@ -22,11 +22,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import BoundContext, check_assumptions, f1, f2
+from .bounds import BoundContext, _require_auditable, check_assumptions, f1, f2
 from .core import (
     MACHINE_UNIT,
     BlockPartition,
     QRFactorization,
+    _require_partition,
     orthogonality_defect,
     relative_residual,
 )
@@ -88,34 +89,20 @@ class ExperimentConfig:
                              f"needs m = n + 1 = {self.n + 1}, got m={self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.blocks is not None and not isinstance(self.blocks, BlockPartition):
-            raise TypeError(
-                "blocks must be a BlockPartition or None, got "
-                f"{type(self.blocks).__name__} {self.blocks!r}"
-            )
+        if self.blocks is not None:
+            _require_partition(self.blocks, self.n)
         if self.method in _BLOCK_METHODS and self.blocks is None:
             raise ValueError(f"method {self.method!r} needs --block or --blocks")
         if self.method not in _BLOCK_METHODS and self.blocks is not None:
             raise ValueError(f"method {self.method!r} does not take a block width")
         if self.generator == "file" and self.input_path is None:
             raise ValueError("the file generator needs an input path")
-        part = self.partition()
         if self.method in _CHECKED_METHODS:
-            # The stability checks evaluate block k at t = (k - 1) * p, p the
-            # widest block, and the growth functions need m >= t + p there.
-            need = part.count * part.max_width
-            if need > self.m:
-                raise ValueError(
-                    f"the stability checks of {self.method} on partition "
-                    f"{part.widths} ({part.count} blocks, widest {part.max_width}) "
-                    f"need m >= {part.count} * {part.max_width} = {need}, "
-                    f"got m={self.m}"
-                )
+            _require_auditable(self.partition(), self.m)
 
     def partition(self) -> BlockPartition:
         """The method's column partition; its widths sum to ``n``."""
         if self.blocks is not None:
-            self.blocks.validate_total(self.n)
             return self.blocks
         if self.method == "householder":
             return BlockPartition.single(self.n)

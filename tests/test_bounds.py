@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import blockgs as bg
+from blockgs import bounds
 from conftest import degraded_cascade_matrix
 
 
@@ -217,6 +220,11 @@ class TestBoundContext:
         with pytest.raises(ValueError, match="p <= n <= m"):
             bg.BoundContext(m=100, p=8, n=4)
 
+    def test_rejects_an_unauditable_uniform_partition_by_the_rule(self):
+        # ceil(20 / 16) = 2 blocks of width 16 need 32 rows.
+        with pytest.raises(ValueError, match=r"partition \(16, 4\) .* m >= 2 \* 16 = 32, got m=20"):
+            bg.BoundContext(m=20, p=16, n=20)
+
 
 class TestCheckAssumptions:
     def test_well_conditioned_passes_both(self):
@@ -258,3 +266,68 @@ class TestCheckAssumptions:
         assert v.check_b_rhs == math.sqrt(1.0 + bg.gamma_k(2) ** 2)
         assert v.check_a_lhs > 0.0 and v.check_b_lhs >= 1.0
         assert v.either_passed == (v.check_a_passed or v.check_b_passed)
+
+    def test_unauditable_partition_is_refused_by_the_rule(self):
+        # ceil(27 / 13) = 3 blocks fit in 50 rows, so BoundContext accepts;
+        # the trace's 4 blocks of up to 13 columns need 52.
+        a = bg.gen_svd_spectrum(50, 27, kappa=10, seed=0)
+        tr = bg.bcgs2(a, bg.BlockPartition((3, 4, 7, 13)))
+        ctx = bg.BoundContext(m=50, p=13, n=27)
+        message = (r"the stability checks on partition \(3, 4, 7, 13\) \(4 blocks, "
+                   r"widest 13\) need m >= 4 \* 13 = 52, got m=50")
+        with pytest.raises(ValueError, match=message):
+            bg.check_assumptions(tr, ctx)
+
+    def test_p_must_be_the_widest_block(self):
+        a = bg.gen_svd_spectrum(60, 27, kappa=10, seed=0)
+        tr = bg.bcgs2(a, bg.BlockPartition((3, 4, 7, 13)))
+        assert len(bg.check_assumptions(tr, bg.BoundContext(m=60, p=13, n=27))) == 3
+        for p in (4, 16):
+            with pytest.raises(ValueError, match=f"ctx.p={p} is not the trace's widest block, 13"):
+                bg.check_assumptions(tr, bg.BoundContext(m=60, p=p, n=27))
+
+
+@st.composite
+def _uneven_problems(draw):
+    widths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=10)
+                  .filter(lambda w: sum(w) <= 80))
+    return draw(st.integers(sum(widths), 80)), bg.BlockPartition(tuple(widths))
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(_uneven_problems())
+def test_harness_and_checks_audit_the_same_partitions_property(problem):
+    m, part = problem
+    n, p = part.total, part.max_width
+    refused = _error(lambda: bounds._require_auditable(part, m))
+    assert (refused is None) == (part.count * p <= m)
+    config = dict(method="bcgs2", m=m, n=n, blocks=part, kappa=10.0)
+    assert _error(lambda: bg.ExperimentConfig(**config)) == refused
+    trace = bg.bcgs2(bg.gen_svd_spectrum(m, n, 10.0, 0), part)
+    try:
+        ctx = bg.BoundContext(m=m, p=p, n=n)
+    except ValueError as exc:
+        # BoundContext counts ceil(n / p) blocks of width p, no more than the
+        # partition has, so it refuses only unauditable partitions, by the rule.
+        assert refused is not None
+        assert str(exc) == _error(lambda: bounds._require_auditable(
+            bg.BlockPartition.uniform(n, p), m))
+        return
+    if refused is None:
+        assert len(bg.check_assumptions(trace, ctx)) == part.count - 1
+    else:
+        assert _error(lambda: bg.check_assumptions(trace, ctx)) == refused

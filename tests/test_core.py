@@ -183,9 +183,22 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             bg.BlockPartition((3, 0))
 
-    def test_validate_total(self):
+    def test_require_partition(self):
+        # The one partition check of the drivers and ExperimentConfig.
         with pytest.raises(ValueError, match="sum to 7"):
-            bg.BlockPartition((3, 4)).validate_total(8)
+            core._require_partition(bg.BlockPartition((3, 4)), 8)
+        with pytest.raises(TypeError, match=r"must be a BlockPartition, got tuple \(3, 4\)"):
+            core._require_partition((3, 4), 7)
+        core._require_partition(bg.BlockPartition((3, 4)), 7)
+
+    def test_widths_must_be_integers(self):
+        # No truncation: 2.9 is not a width, and neither is "4".
+        for widths in [(2.9, 2.9), ("4", "4"), np.array([3.7, 3.2])]:
+            with pytest.raises(TypeError):
+                bg.BlockPartition(widths)
+        part = bg.BlockPartition(np.array([3, 4], dtype=np.int32))
+        assert part.widths == (3, 4)
+        assert all(type(w) is int for w in part.widths)
 
 
 class TestQRFactorization:

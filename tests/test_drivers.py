@@ -136,6 +136,18 @@ class TestBcgs2:
         assert tr_block.q.tobytes() == tr_scalar.q.tobytes()
         assert tr_block.r.tobytes() == tr_scalar.r.tobytes()
 
+    @pytest.mark.parametrize("driver", [bg.bcgs, bg.bcgs2])
+    @pytest.mark.parametrize(
+        "blocks, shown",
+        [((4, 4), r"tuple \(4, 4\)"), ([4, 4], r"list \[4, 4\]"),
+         (np.array([4, 4]), r"ndarray array\(\[4, 4\]\)"), (None, "NoneType None")],
+    )
+    def test_partition_is_not_coerced(self, driver, blocks, shown):
+        # Only a BlockPartition is a partition; None does not mean one column per block.
+        a = bg.gen_svd_spectrum(20, 8, kappa=10.0, seed=0)
+        with pytest.raises(TypeError, match="blocks must be a BlockPartition, got " + shown):
+            driver(a, blocks)
+
 
 class TestBaselines:
     def test_identity_all_methods(self):

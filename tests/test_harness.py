@@ -100,7 +100,7 @@ class TestConfigValidation:
 
     def test_rejects_a_partition_that_is_not_a_block_partition(self):
         # The tuple is not coerced: BlockPartition((8, 4, 4)) is the one form.
-        with pytest.raises(TypeError, match=r"BlockPartition or None, got tuple \(8, 4, 4\)"):
+        with pytest.raises(TypeError, match=r"must be a BlockPartition, got tuple \(8, 4, 4\)"):
             _config(blocks=(8, 4, 4))
         with pytest.raises(TypeError, match="got list"):
             _config(method="cgs", blocks=[1] * 16)
