@@ -224,10 +224,16 @@ def check_assumptions(trace: "FactorizationTrace", ctx: BoundContext) -> list[As
 
     The trace must carry the reorthogonalization audit quantities (inverse
     norms of the second-pass triangular factors), i.e. come from a two-pass
-    method.  ``ctx.p`` must be the trace's widest block, and the trace's
-    partition must be auditable on ``ctx.m`` rows.  A singular diagonal
-    block shows up as an infinite check-A left-hand side, not an exception.
+    method.  ``ctx.m`` and ``ctx.n`` must be the trace's shape, ``ctx.p``
+    its widest block, and the trace's partition must be auditable on
+    ``ctx.m`` rows.  A singular diagonal block shows up as an infinite
+    check-A left-hand side, not an exception.
     """
+    m, n = trace.q.shape
+    if (ctx.m, ctx.n) != (m, n):
+        raise ValueError(
+            f"ctx.m x ctx.n = {ctx.m}x{ctx.n} is not the trace's shape, {m}x{n}"
+        )
     part = BlockPartition(tuple(rec.width for rec in trace.per_block))
     if ctx.p != part.max_width:
         raise ValueError(f"ctx.p={ctx.p} is not the trace's widest block, {part.max_width}")

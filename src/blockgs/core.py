@@ -72,8 +72,13 @@ def spectral_norm(a) -> float:
     """
     a = as_matrix(a)
     _require_finite(a)
+    return float(_singular_values(a)[0])
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """All singular values of the finite matrix ``a``, largest first."""
     try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SpectralNormError(f"SVD did not converge: {exc}") from exc
 
@@ -120,23 +125,39 @@ def orthogonality_defect(q) -> float:
 def upper_triangular_inverse(r) -> np.ndarray:
     """Inverse of an upper-triangular matrix by back substitution.
 
-    O(p^3); intended for the small diagonal blocks of R.  A zero diagonal
-    yields infinities rather than an exception.
+    O(p^3); intended for the small diagonal blocks of R.  Column j is
+    solved from row j up, each row's sum running over k ascending.  The loop
+    runs on Python floats, which are the same IEEE binary64 operations as
+    numpy scalars, so the result is bitwise the numpy loop's; every
+    structural zero is +0.0.  A zero diagonal yields infinities (or nan)
+    rather than an exception.
     """
     r = as_matrix(r)
     p = r.shape[0]
     if r.shape[1] != p:
         raise ValueError(f"triangular inverse needs a square matrix, got {r.shape}")
-    x = np.zeros((p, p), order="F")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(p):
-            x[j, j] = 1.0 / r[j, j]
-            for i in range(j - 1, -1, -1):
-                s = r[i, i + 1] * x[i + 1, j]
-                for k in range(i + 2, j + 1):
-                    s += r[i, k] * x[k, j]
-                x[i, j] = -s / r[i, i]
-    return x
+    rows = r.tolist()
+    cols = [[0.0] * p for _ in range(p)]
+    for j, xj in enumerate(cols):
+        xj[j] = _divide(1.0, rows[j][j])
+        for i in range(j - 1, -1, -1):
+            ri = rows[i]
+            s = ri[i + 1] * xj[i + 1]
+            for k in range(i + 2, j + 1):
+                s += ri[k] * xj[k]
+            xj[i] = _divide(-s, ri[i])
+    # Row j of the array is column j of the inverse; its transpose is F-order.
+    return np.asfortranarray(np.array(cols).T)
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b`` in IEEE arithmetic: a zero ``b`` gives numpy's inf or nan
+    where Python raises :class:`ZeroDivisionError`."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / np.float64(b))
 
 
 def relative_residual(a, factorization: "QRFactorization") -> float:
@@ -152,11 +173,15 @@ def relative_residual(a, factorization: "QRFactorization") -> float:
         raise ValueError(
             f"factorization shapes {q.shape} x {r.shape} do not conform to {a.shape}"
         )
-    denom = spectral_norm(a)
-    if denom == 0.0:
+    return _relative_residual(a, factorization, spectral_norm(a))
+
+
+def _relative_residual(a: np.ndarray, factorization: "QRFactorization", norm_a: float) -> float:
+    """:func:`relative_residual` of a conforming ``a`` whose norm ``|a|`` is known."""
+    if norm_a == 0.0:
         warnings.warn("relative residual of an all-zero matrix reported as 0.0")
         return 0.0
-    return spectral_norm(a - kernels.matmul(q, r)) / denom
+    return spectral_norm(a - kernels.matmul(factorization.q, factorization.r)) / norm_a
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ from .core import (
     MACHINE_UNIT,
     BlockPartition,
     QRFactorization,
+    _relative_residual,
     _require_partition,
+    _singular_values,
+    as_matrix,
     orthogonality_defect,
-    relative_residual,
 )
 from .drivers import bcgs, bcgs2, cgs, cgs2, mgs
 from .errors import AssumptionFailureError
@@ -147,9 +149,9 @@ def _inputs(config: ExperimentConfig):
     return [a] * config.trials
 
 
-def _measured_kappa(a: np.ndarray) -> float:
-    sv = np.linalg.svd(a, compute_uv=False)
-    smallest = sv[min(a.shape) - 1]
+def _measured_kappa(sv: np.ndarray) -> float:
+    """The condition number from singular values, largest first."""
+    smallest = sv[-1]
     if smallest == 0.0:
         return math.inf
     return float(sv[0] / smallest)
@@ -172,7 +174,10 @@ def _run_trial(config: ExperimentConfig, index: int, a: np.ndarray) -> ReportRow
     wall = time.perf_counter() - start
 
     defect = orthogonality_defect(factorization.q) if trace is None else trace.per_block[-1].defect
-    resid = relative_residual(a, factorization)
+    # One SVD of a gives both |a| for the residual and the condition number.
+    a = as_matrix(a)
+    sv = _singular_values(a)
+    resid = _relative_residual(a, factorization, float(sv[0]))
 
     assumptions_passed = True
     if config.method in _CHECKED_METHODS:
@@ -194,7 +199,7 @@ def _run_trial(config: ExperimentConfig, index: int, a: np.ndarray) -> ReportRow
         m=m,
         n=n,
         p=p,
-        kappa_measured=_measured_kappa(a),
+        kappa_measured=_measured_kappa(sv),
         defect=defect,
         rel_residual=resid,
         assumptions_passed=assumptions_passed,

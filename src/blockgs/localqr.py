@@ -10,6 +10,7 @@ steps' :class:`BlockStepResult`, as the step against an empty basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from . import kernels
 from .bounds import l1
 from .core import MACHINE_UNIT, _require_finite, as_matrix, spectral_norm
 from .errors import RankDeficientError
+
+#: Smallest sum of squares the rank test's Frobenius bound trusts.
+_TINY_SUMSQ = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,10 @@ def local_qr(b) -> BlockStepResult:
     ------
     RankDeficientError
         If any diagonal of r is at most m * eps * |b|, i.e. the panel is not
-        numerically of full column rank.
+        numerically of full column rank.  A wide panel takes its spectral
+        norm |b| from an SVD only when the smallest diagonal is at most
+        2 * m * eps * |b|_F; above that bound it passes with no SVD, since
+        |b| <= |b|_F.  Both rules give the same verdict.
     SpectralNormError
         If the panel has a nan or inf entry; checked before any arithmetic.
     ValueError
@@ -88,13 +95,33 @@ def local_qr(b) -> BlockStepResult:
         r[negative, :] = -r[negative, :]
         diag = np.diagonal(r).copy()
 
-    threshold = m * MACHINE_UNIT * spectral_norm(b)
     worst = int(np.argmin(diag))
-    if not diag[worst] > threshold:
-        raise RankDeficientError(
-            f"panel is numerically rank deficient: diagonal {worst} of r is "
-            f"{diag[worst]:g}, at or below the threshold {threshold:g}",
-            index=worst,
-            magnitude=float(diag[worst]),
-        )
+    if not _clears_frobenius_bound(b, diag[worst]):
+        threshold = m * MACHINE_UNIT * spectral_norm(b)
+        if not diag[worst] > threshold:
+            raise RankDeficientError(
+                f"panel is numerically rank deficient: diagonal {worst} of r is "
+                f"{diag[worst]:g}, at or below the threshold {threshold:g}",
+                index=worst,
+                magnitude=float(diag[worst]),
+            )
     return BlockStepResult(q=q, r=r, s=np.zeros((0, p), order="F"))
+
+
+def _clears_frobenius_bound(b: np.ndarray, smallest) -> bool:
+    """True when ``smallest`` passes the rank test by ``|b|_F``, with no SVD.
+
+    ``|b|_2 <= |b|_F``, so a diagonal above ``2 m eps |b|_F`` passes the
+    exact rule ``m eps |b|_2``.  The factor 2 covers rounding in both norms:
+    ``local_qr``'s size check gives ``eps m p < p**-0.5 <= 2**-0.5``, so the
+    computed sum of the m p nonnegative squares is at least ``1 - 2**-0.5``
+    times the exact one, and twice its root still exceeds ``|b|_F`` by 8%.
+    A sum below ``2**-900`` may have lost underflowed squares, and an
+    overflowed one makes the bound infinite; both leave the decision to the
+    SVD.
+    """
+    m = b.shape[0]
+    flat = b.ravel(order="F")  # a view, not a copy: b is in F order
+    with np.errstate(over="ignore", under="ignore"):
+        sumsq = float(np.dot(flat, flat))
+    return sumsq >= _TINY_SUMSQ and smallest > 2.0 * m * MACHINE_UNIT * math.sqrt(sumsq)

@@ -278,6 +278,15 @@ class TestCheckAssumptions:
         with pytest.raises(ValueError, match=message):
             bg.check_assumptions(tr, ctx)
 
+    def test_ctx_must_have_the_trace_shape(self):
+        a = bg.gen_svd_spectrum(50, 27, kappa=10, seed=0)
+        tr = bg.bcgs2(a, bg.BlockPartition.uniform(27, 4))
+        assert len(bg.check_assumptions(tr, bg.BoundContext(m=50, p=4, n=27))) == 6
+        for m, n in ((5000, 27), (50, 40)):
+            message = rf"ctx.m x ctx.n = {m}x{n} is not the trace's shape, 50x27"
+            with pytest.raises(ValueError, match=message):
+                bg.check_assumptions(tr, bg.BoundContext(m=m, p=4, n=n))
+
     def test_p_must_be_the_widest_block(self):
         a = bg.gen_svd_spectrum(60, 27, kappa=10, seed=0)
         tr = bg.bcgs2(a, bg.BlockPartition((3, 4, 7, 13)))

@@ -153,6 +153,33 @@ class TestRelativeResidual:
         assert any("zero" in str(w.message) for w in caught)
 
 
+def _numpy_scalar_inverse(r):
+    """The triangular inverse's loop on numpy scalars: the bitwise oracle."""
+    r = bg.as_matrix(r)
+    p = r.shape[0]
+    x = np.zeros((p, p), order="F")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p):
+            x[j, j] = 1.0 / r[j, j]
+            for i in range(j - 1, -1, -1):
+                s = r[i, i + 1] * x[i + 1, j]
+                for k in range(i + 2, j + 1):
+                    s += r[i, k] * x[k, j]
+                x[i, j] = -s / r[i, i]
+    return x
+
+
+def _random_triangle(rng, p, zero_diagonals=0):
+    """Upper triangle with +0.0 and -0.0 entries scattered above the
+    diagonal, and ``zero_diagonals`` signed zeros on it."""
+    r = np.triu(rng.standard_normal((p, p)))
+    zeros = np.triu(rng.random((p, p)) < 0.25, 1)
+    r[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    for d in rng.choice(p, size=zero_diagonals, replace=False):
+        r[d, d] = rng.choice([0.0, -0.0])
+    return np.asfortranarray(r)
+
+
 class TestUpperTriangularInverse:
     def test_matches_solve(self, rng):
         r = np.triu(rng.standard_normal((6, 6))) + 3.0 * np.eye(6)
@@ -164,6 +191,52 @@ class TestUpperTriangularInverse:
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         inv = bg.upper_triangular_inverse(r)
         assert not np.isfinite(inv).all()
+
+    @staticmethod
+    def _assert_bitwise(r):
+        inv = bg.upper_triangular_inverse(r)
+        assert inv.flags.f_contiguous and inv.dtype == np.float64
+        assert inv.tobytes(order="F") == _numpy_scalar_inverse(r).tobytes(order="F")
+        # Structural zeros are +0.0.
+        assert not np.signbit(inv[np.tril_indices(r.shape[0], -1)]).any()
+
+    def test_bitwise_on_bcgs2_factors(self):
+        a = bg.gen_svd_spectrum(120, 40, kappa=1e10, seed=5)
+        part = bg.BlockPartition((8, 8, 16, 8))
+        tr = bg.bcgs2(a, part)
+        for lo, hi in part.column_spans():
+            self._assert_bitwise(tr.r[lo:hi, lo:hi])
+            if lo:
+                self._assert_bitwise(bg.block_cgs2_step(tr.q[:, :lo], a[:, lo:hi]).r2)
+
+    def test_bitwise_on_random_triangles_with_signed_zeros(self, rng):
+        for p in list(range(1, 13)) + [16, 32]:
+            for _ in range(3):
+                self._assert_bitwise(_random_triangle(rng, p))
+
+    def test_bitwise_on_integer_triangles(self, rng):
+        for p in (1, 2, 5, 9, 17):
+            r = np.triu(rng.integers(-4, 5, size=(p, p))).astype(np.float64)
+            np.fill_diagonal(r, rng.choice([-3.0, -1.0, 1.0, 2.0], size=p))
+            self._assert_bitwise(r)
+
+    def test_zero_diagonals_match_the_oracle(self, rng):
+        # Same inf entries, signs included, and nan in the same places.
+        for p in (1, 2, 3, 6, 10):
+            for zero_diagonals in range(1, min(p, 3) + 1):
+                r = _random_triangle(rng, p, zero_diagonals)
+                inv = bg.upper_triangular_inverse(r)
+                expected = _numpy_scalar_inverse(r)
+                assert np.array_equal(np.isnan(inv), np.isnan(expected))
+                assert np.array_equal(np.isinf(inv), np.isinf(expected))
+                finite_or_inf = ~np.isnan(expected)
+                assert inv[finite_or_inf].tobytes() == expected[finite_or_inf].tobytes()
+
+    def test_negative_zero_diagonal_gives_negative_infinity(self):
+        inv = bg.upper_triangular_inverse([[-0.0]])
+        assert inv[0, 0] == -np.inf
+        inv = bg.upper_triangular_inverse([[2.0, 1.0], [0.0, 0.0]])
+        assert inv[1, 1] == np.inf and inv[0, 1] == -np.inf and inv[0, 0] == 0.5
 
 
 class TestBlockPartition:

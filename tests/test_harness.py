@@ -207,6 +207,73 @@ class TestInputs:
         assert math.isfinite(rows[0].defect) and rows[0].rel_residual < 1e-12
 
 
+def _public_row(config, a):
+    """A trial's row computed through public calls alone, untimed: a
+    separate SVD of ``a`` for the condition number and in
+    ``relative_residual``."""
+    part = config.partition()
+    if config.method == "householder":
+        res = bg.local_qr(a)
+        factorization = bg.QRFactorization(res.q, res.r)
+        defect = bg.orthogonality_defect(res.q)
+    else:
+        driver = getattr(bg, config.method)
+        trace = driver(a, part) if config.method in ("bcgs", "bcgs2") else driver(a)
+        factorization = trace.factorization
+        defect = trace.per_block[-1].defect
+    passed = True
+    if config.method in ("cgs2", "bcgs2"):
+        ctx = bg.BoundContext(m=config.m, p=part.max_width, n=config.n)
+        passed = all(v.either_passed for v in bg.check_assumptions(trace, ctx))
+    sv = np.linalg.svd(a, compute_uv=False)
+    kappa = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    return bg.ReportRow(config.method, config.m, config.n, part.max_width, kappa, defect,
+                        bg.relative_residual(a, factorization), passed, 0.0)
+
+
+class TestOneSvdOfA:
+    @pytest.mark.parametrize("method", harness.METHODS)
+    @pytest.mark.parametrize("generator", ["svd", "hilbert", "file"])
+    def test_measurements_are_the_public_calls(self, tmp_path, method, generator):
+        path = tmp_path / "a.mtx"
+        bg.write_matrix_market(path, np.ascontiguousarray(bg.gen_svd_spectrum(30, 12, 1e5, 2)))
+        blocks = bg.BlockPartition.uniform(12, 4) if method in ("bcgs", "bcgs2") else None
+        cfg = bg.ExperimentConfig(method=method, m=30, n=12, blocks=blocks, generator=generator,
+                                  kappa=1e5, input_path=str(path), trials=2)
+        rows = _untimed(bg.run(cfg))
+        expected = [_public_row(cfg, a) for a in harness._inputs(cfg)]
+        for row, want in zip(rows, expected):
+            assert float.hex(row.kappa_measured) == float.hex(want.kappa_measured)
+            assert float.hex(row.rel_residual) == float.hex(want.rel_residual)
+        assert rows == expected
+
+    def test_lauchli_measurements_are_the_public_calls(self):
+        cfg = bg.ExperimentConfig(method="cgs2", m=21, n=20, generator="lauchli", kappa=1e6)
+        assert _untimed(bg.run(cfg)) == [_public_row(cfg, a) for a in harness._inputs(cfg)]
+
+    def test_csv_bytes_of_a_sweep_are_the_public_calls(self, tmp_path):
+        cfg = _config(trials=3, kappa=1e10)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        bg.emit_csv(_untimed(bg.run(cfg)), got)
+        bg.emit_csv([_public_row(cfg, a) for a in harness._inputs(cfg)], want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_one_full_svd_of_a_per_trial(self, monkeypatch):
+        # a's own SVD, shared by the condition number and the residual's
+        # denominator, and the SVD of the residual a - QR.
+        cfg = _config(trials=3)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real_svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        bg.run(cfg)
+        assert shapes.count((cfg.m, cfg.n)) == 2 * cfg.trials
+
+
 class TestPolicies:
     def test_strict_aborts_on_degraded_matrix(self, tmp_path):
         from conftest import degraded_cascade_matrix

@@ -1,12 +1,13 @@
 """Panel factorization tests: contracts, sign convention, the width-1 path."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import blockgs as bg
-from blockgs import kernels
+from blockgs import kernels, localqr
 from blockgs.errors import RankDeficientError
 
 
@@ -142,3 +143,99 @@ class TestL1Bound:
 
     def test_minimum_size(self):
         assert bg.l1(1, 1) == 5.0
+
+
+class TestRankTestRules:
+    """The rank test passes a wide panel by ``|b|_F`` when it can, and
+    otherwise by an SVD; either way its verdict is the SVD rule's."""
+
+    @staticmethod
+    def _svd_rule(b):
+        """(passes, worst, smallest diagonal, threshold) by ``m eps |b|_2``."""
+        b = bg.as_matrix(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, r = kernels.householder_qr(b)
+        diag = np.abs(np.diagonal(r))
+        worst = int(np.argmin(diag))
+        threshold = b.shape[0] * bg.MACHINE_UNIT * bg.spectral_norm(b)
+        return bool(diag[worst] > threshold), worst, diag[worst], threshold
+
+    def _assert_same_verdict(self, b):
+        passes, worst, smallest, threshold = self._svd_rule(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if passes:
+                bg.local_qr(b)
+                return True
+            with pytest.raises(RankDeficientError) as info:
+                bg.local_qr(b)
+        assert str(info.value) == (
+            f"panel is numerically rank deficient: diagonal {worst} of r is "
+            f"{smallest:g}, at or below the threshold {threshold:g}"
+        )
+        assert info.value.index == worst
+        # An overflowed panel's diagonal is nan.
+        assert np.array_equal([info.value.magnitude], [smallest], equal_nan=True)
+        return False
+
+    @staticmethod
+    def _near_threshold(c, m=60, p=5, seed=3):
+        """A panel whose last column is a sum of two others plus a fresh
+        direction of norm ``c m eps |b|_2``, so its last diagonal sits near
+        the threshold."""
+        rng = np.random.default_rng(seed)
+        b = np.asfortranarray(rng.standard_normal((m, p)))
+        b[:, -1] = b[:, 0] + b[:, 1]
+        basis, _ = np.linalg.qr(rng.standard_normal((m, p)))
+        fresh = basis[:, -1] - b[:, :-1] @ np.linalg.lstsq(b[:, :-1], basis[:, -1], rcond=None)[0]
+        fresh /= np.linalg.norm(fresh)
+        b[:, -1] += c * m * bg.MACHINE_UNIT * bg.spectral_norm(b) * fresh
+        return b
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(b):
+            calls.append(b.shape)
+            return bg.spectral_norm(b)
+
+        monkeypatch.setattr(localqr, "spectral_norm", counting)
+        return calls
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_near_threshold_verdict_is_the_svd_rule(self, c):
+        passes = self._assert_same_verdict(self._near_threshold(c))
+        if c != 1.0:
+            assert passes == (c > 1.0)
+
+    @pytest.mark.parametrize("scale", [2.0**500, 2.0**-500, 2.0**-540, 1e200])
+    @pytest.mark.parametrize("c", [0.5, 2.0, None])
+    def test_scaled_verdict_is_the_svd_rule(self, rng, scale, c):
+        b = rng.standard_normal((40, 6)) if c is None else self._near_threshold(c, m=40, p=6)
+        self._assert_same_verdict(np.asfortranarray(b * scale))
+
+    def test_random_panels_verdict_is_the_svd_rule(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            p = int(rng.integers(2, 17))
+            m = int(rng.integers(p, 200))
+            b = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-8, 8, size=p)
+            self._assert_same_verdict(np.asfortranarray(b))
+
+    def test_well_conditioned_panel_takes_no_svd(self, rng, svd_calls):
+        res = bg.local_qr(rng.standard_normal((500, 16)))
+        assert svd_calls == []
+        assert np.all(np.diagonal(res.r) > 0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_near_threshold_panel_takes_the_svd(self, svd_calls, c):
+        self._assert_same_verdict(self._near_threshold(c))
+        # One SVD in local_qr; the test's own rule calls bg.spectral_norm.
+        assert svd_calls == [(60, 5)]
+
+    @pytest.mark.parametrize("scale", [1e200, 2.0**-540])
+    def test_frobenius_bound_defers_silently_outside_its_range(self, rng, scale):
+        b = np.asfortranarray(rng.standard_normal((40, 6)) * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not localqr._clears_frobenius_bound(b, 1.0)
