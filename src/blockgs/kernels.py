@@ -34,8 +34,8 @@ two read 1.15 vs 2.26, 1.12 vs 1.16, 0.82 vs 0.81, 1.08 vs 0.62 and 0.75
 vs 0.35 ns, so a multiply runs unbuffered only when that axis holds at
 least ``_UNBUFFERED_MIN`` = 64 entries: ``m`` for the product's term
 buffer, ``n`` for a one-row output (numpy merges its axes), ``m`` for the
-rank-1 path's scratch and its in-place add, and ``p - j`` for the
-Householder trailing updates.  Each switch of buffer costs about 2 us, so
+rank-1 path's scratch and its in-place add, and the column height ``m - j``
+of the Householder updates.  Each switch of buffer costs about 2 us, so
 the term multiply also needs ``_UNBUFFERED_MIN_TERMS`` terms per chunk:
 without that, 200x16.16x1 took 1.18x the buffered time.  Where such a
 multiply reads the rows of ``a.T`` at a stride (``a`` is ``u.T`` or
@@ -217,8 +217,9 @@ def _householder_fill_numpy(r, q, v, beta):
     # scale factors; this formulation stays exact on integer-valued panels.
     # The norms and reflector dot products accumulate over ascending rows,
     # vectorized across the trailing columns.  householder_qr passes r and q
-    # row-major, so the reflector products and updates stream along rows.
-    p = r.shape[1]
+    # Fortran-ordered, so each update, formed in tmp, runs down columns.
+    m, p = r.shape
+    tmp = np.empty((m, p), order="F")
     for j in range(p):
         normx = np.sqrt(_sumsq_numpy(r[j:, j]))
         if normx == 0.0:
@@ -230,14 +231,16 @@ def _householder_fill_numpy(r, q, v, beta):
         v[j, j] = r[j, j] + s * normx
         beta[j] = 2.0 / _sumsq_numpy(v[j:, j])
         w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:])
-        with _small_buffer(p - j >= _UNBUFFERED_MIN):
-            r[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
+        with _small_buffer(m - j >= _UNBUFFERED_MIN):
+            np.multiply(v[j:, j, None], beta[j] * w[None, :], out=tmp[j:, j:])
+            np.subtract(r[j:, j:], tmp[j:, j:], out=r[j:, j:])
     # Reflector j acts on q[j:, j:] only: columns < j of those rows are
     # still exact zeros, as in LAPACK's dorg2r, so skipping them is exact.
     for j in range(p - 1, -1, -1):
         w = _weighted_row_sum_numpy(v[j:, j], q[j:, j:])
-        with _small_buffer(p - j >= _UNBUFFERED_MIN):
-            q[j:, j:] -= np.multiply.outer(v[j:, j], beta[j] * w)
+        with _small_buffer(m - j >= _UNBUFFERED_MIN):
+            np.multiply(v[j:, j, None], beta[j] * w[None, :], out=tmp[j:, j:])
+            np.subtract(q[j:, j:], tmp[j:, j:], out=q[j:, j:])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,16 +276,15 @@ def householder_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (q, r) with q the explicit m-by-p orthonormal factor obtained by
     applying the accumulated reflectors to the first p columns of the
     identity, and r the p-by-p triangular factor with exact zeros below the
-    diagonal.  No sign normalization is applied here.
+    diagonal, both Fortran-ordered.  No sign normalization is applied here.
+    A panel with m < p raises ``ValueError``.
     """
     m, p = b.shape
-    rwork = np.array(b, dtype=np.float64, order="C", copy=True)
-    q = np.eye(m, p)
+    if m < p:
+        raise ValueError(f"panel must be at least as tall as wide, got {m}x{p}")
+    rwork = np.array(b, dtype=np.float64, order="F", copy=True)
+    q = np.eye(m, p, order="F")
     v = np.zeros((m, p), dtype=np.float64, order="F")
     beta = np.zeros(p, dtype=np.float64)
     _householder_fill_numpy(rwork, q, v, beta)
-    r = np.asfortranarray(np.triu(rwork[:p, :p]))
-    # Free the work arrays before the Fortran copy of q, so the three are
-    # never alive at once.
-    del rwork, v
-    return np.asfortranarray(q), r
+    return q, np.asfortranarray(np.triu(rwork[:p, :p]))

@@ -423,7 +423,10 @@ def _assert_householder_matches_scalar_source(b):
         assert q2.tobytes() == q1.tobytes()
         assert r2.tobytes() == r1.tobytes()
     q3, r3 = kernels.householder_qr(b)
-    assert q3.flags.f_contiguous and r3.flags.f_contiguous
+    # local_qr negates columns of q and rows of r in place.
+    for factor in (q3, r3):
+        assert factor.flags.writeable and factor.flags.f_contiguous
+        assert not np.shares_memory(factor, b)
     assert q3.tobytes() == q1.tobytes()
     assert r3.tobytes() == r1.tobytes()
 
@@ -449,11 +452,19 @@ REDUCE_MIN_SIZE = kernels._REDUCE_MIN_SIZE
         (2 * ROW_CHUNK + 1, 16),
         (40, 32),
         (ROW_CHUNK + 1, 9),
-        # Trailing updates of p - j >= 64 columns run unbuffered.
+        # Trailing blocks of 63-66 columns, whose column height m - j falls
+        # through _UNBUFFERED_MIN = 64 in the first steps.
         (65, 63),
         (66, 64),
         (67, 65),
         (68, 66),
+        # Narrow panels whose trailing updates run unbuffered while the
+        # column height m - j is at least 64, and buffered after that.
+        (63, 5),
+        (64, 2),
+        (65, 3),
+        (66, 8),
+        (70, 12),
     ],
 )
 def test_householder_numpy_matches_scalar_source(rng, shape):
@@ -464,11 +475,18 @@ def test_householder_numpy_matches_scalar_source(rng, shape):
 
 @pytest.mark.parametrize("zero_col", [0, 2, 4])
 def test_householder_numpy_matches_scalar_source_on_zero_column(rng, zero_col):
-    b = _fortran(rng, (9, 5))
-    b[:, zero_col] = 0.0
-    _assert_householder_matches_scalar_source(b)
-    _, r = _run_householder(kernels._householder_fill_numpy, b)
-    assert r[zero_col, zero_col] == 0.0
+    # At 70 rows the q updates of the beta = 0 reflector run unbuffered.
+    for m in (9, 70):
+        b = _fortran(rng, (m, 5))
+        b[:, zero_col] = 0.0
+        _assert_householder_matches_scalar_source(b)
+        _, r = _run_householder(kernels._householder_fill_numpy, b)
+        assert r[zero_col, zero_col] == 0.0
+
+
+def test_householder_qr_rejects_a_wide_panel(rng):
+    with pytest.raises(ValueError, match="at least as tall as wide, got 3x5"):
+        kernels.householder_qr(_fortran(rng, (3, 5)))
 
 
 def test_householder_numpy_keeps_row_order_across_chunks():
