@@ -14,13 +14,17 @@ its terms one index at a time, in ascending order, onto the exact identity
 ``-0.0``.  Outputs of fewer than 8 entries sum the chunk with
 ``np.add.accumulate`` instead, which adds one row at a time whatever the
 layout; outputs too large for a chunk of 8 indices keep one rank-1 update per
-inner index.  The Householder reflector products ``v^T Y`` are the one-row
-case of the same product, and so are dot products: ``dot(x, Y)`` is the row
-``x^T Y``, and a one-column ``Y`` gives a 1x1 output that accumulates.
-Norms are ``np.add.accumulate``, which sums strictly left to right.  Reduced
-along a contiguous axis, or with one entry per row, numpy would sum pairwise,
-and BLAS products reorder the sum, so ``np.sum``, ``np.dot``, ``np.matmul``,
-``np.einsum`` and ``@`` round differently and are never used.
+inner index.  The one-row sums ``x^T Y``, the Householder reflector products
+``v^T Y`` and ``dot(x, Y)``, run down ``Y``'s columns instead: their terms
+go into a column-major scratch, the first term as it is and every later one
+negated, and ``np.subtract.reduce``, which has no pairwise path, subtracts
+them one row at a time.  ``t0 - (-t1)`` is the IEEE addition ``t0 + t1``,
+signed zeros included, so each column gets the ascending sum seeded with its
+first term.  Norms are ``np.add.accumulate``, which sums strictly left to
+right.  Reduced along a contiguous axis, or with one entry per row, numpy's
+``np.add`` would sum pairwise, and BLAS products reorder the sum, so
+``np.sum``, ``np.dot``, ``np.matmul``, ``np.einsum`` and ``@`` round
+differently and are never used.
 
 Most of the kernels' time goes into forming product terms with broadcast
 multiplies such as ``b[:, :, None] * a.T[:, None, :]``.  When the output's
@@ -35,16 +39,22 @@ vs 0.35 ns, so a multiply runs unbuffered only when that axis holds at
 least ``_UNBUFFERED_MIN`` = 64 entries: ``m`` for the product's term
 buffer, ``n`` for a one-row output (numpy merges its axes), ``m`` for the
 rank-1 path's scratch and its in-place add, and the column height ``m - j``
-of the Householder updates.  Each switch of buffer costs about 2 us, so
-the term multiply also needs ``_UNBUFFERED_MIN_TERMS`` terms per chunk:
-without that, 200x16.16x1 took 1.18x the buffered time.  Where such a
-multiply reads the rows of ``a.T`` at a stride (``a`` is ``u.T`` or
-``q.T``) and has at least 4 output columns, ``a.T`` is copied row-major
-once per product.  The sums, ``np.add.reduce`` and ``np.add.accumulate``,
+of each Householder reflector, whose product terms, sum and update run
+under one switch.  Each switch of buffer costs about 2 us, so the product's
+term multiply also needs ``_UNBUFFERED_MIN_TERMS`` terms per chunk: without
+that, 200x16.16x1 took 1.18x the buffered time.  ``dot`` keeps the caller's
+buffer: at ``mgs``'s 200-row shapes its terms formed faster buffered
+(200x79: 11.6 us, against 15.9 us with the switch), and at 1000-8000 rows
+it ran within 4% either way.  Where the product's term multiply reads
+the rows of ``a.T`` at a stride (``a`` is ``u.T`` or ``q.T``) and has at
+least 4 output columns, ``a.T`` is copied row-major once per product.  The
+product's sums and the norms, ``np.add.reduce`` and ``np.add.accumulate``,
 keep the caller's buffer: with the smallest one a 256x128 reduce took 14.0
-against 8.6 us.  The buffer size changes only which copies numpy makes,
-never an operation or its order, so the bits are the same under any
-buffer; each kernel gives the caller back its own buffer size.
+against 8.6 us.  A reflector's ``np.subtract.reduce`` runs inside its
+switch, where it took 0.8-2 us longer than buffered at 2000x32-200x79,
+less than a second switch would cost.  The buffer size changes only which
+copies numpy makes, never an operation or its order, so the bits are the
+same under any buffer; each kernel gives the caller back its own buffer size.
 """
 
 from __future__ import annotations
@@ -201,13 +211,18 @@ def _sumsq_numpy(x):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_row_sum_numpy(x, y):
+def _weighted_row_sum_numpy(x, y, terms):
     # sum_i x[i] * y[i, :] over ascending rows, seeded with the i=0 term: the
-    # order of a scalar `w += x[i] * y[i, col]` loop.  It is the one-row
-    # product x^T y.
-    w = np.empty((1, y.shape[1]), order="F")
-    _matmul_fill_numpy(x[None, :], y, w)
-    return w[0]
+    # order of a scalar `w += x[i] * y[i, col]` loop.  terms is Fortran-ordered
+    # scratch of y's shape; it gets t0, -t1, -t2, ... down each column, and
+    # subtract.reduce, which never sums pairwise, forms t0 - (-t1) - (-t2)...
+    # one row at a time: each step is the IEEE addition of the next term,
+    # since (-x[i]) * y[i, col] is exactly -(x[i] * y[i, col]).  The caller
+    # picks the ufunc buffer.
+    xs = -x
+    xs[0] = x[0]
+    np.multiply(y, xs[:, None], out=terms)
+    return np.subtract.reduce(terms, axis=0)
 
 
 def _householder_fill_numpy(r, q, v, beta):
@@ -215,9 +230,9 @@ def _householder_fill_numpy(r, q, v, beta):
     # q: identity panel on entry, explicit orthonormal factor on exit.
     # v, beta: scratch for the reflectors (unnormalized) and their 2/v^T v
     # scale factors; this formulation stays exact on integer-valued panels.
-    # The norms and reflector dot products accumulate over ascending rows,
-    # vectorized across the trailing columns.  householder_qr passes r and q
-    # Fortran-ordered, so each update, formed in tmp, runs down columns.
+    # The norms and reflector dot products accumulate over ascending rows.
+    # householder_qr passes r and q Fortran-ordered, so each reflector's
+    # product terms and then its update, both formed in tmp, run down columns.
     m, p = r.shape
     tmp = np.empty((m, p), order="F")
     for j in range(p):
@@ -230,15 +245,15 @@ def _householder_fill_numpy(r, q, v, beta):
         v[j + 1 :, j] = r[j + 1 :, j]
         v[j, j] = r[j, j] + s * normx
         beta[j] = 2.0 / _sumsq_numpy(v[j:, j])
-        w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:])
         with _small_buffer(m - j >= _UNBUFFERED_MIN):
+            w = _weighted_row_sum_numpy(v[j:, j], r[j:, j:], tmp[j:, j:])
             np.multiply(v[j:, j, None], beta[j] * w[None, :], out=tmp[j:, j:])
             np.subtract(r[j:, j:], tmp[j:, j:], out=r[j:, j:])
     # Reflector j acts on q[j:, j:] only: columns < j of those rows are
     # still exact zeros, as in LAPACK's dorg2r, so skipping them is exact.
     for j in range(p - 1, -1, -1):
-        w = _weighted_row_sum_numpy(v[j:, j], q[j:, j:])
         with _small_buffer(m - j >= _UNBUFFERED_MIN):
+            w = _weighted_row_sum_numpy(v[j:, j], q[j:, j:], tmp[j:, j:])
             np.multiply(v[j:, j, None], beta[j] * w[None, :], out=tmp[j:, j:])
             np.subtract(q[j:, j:], tmp[j:, j:], out=q[j:, j:])
 
@@ -258,9 +273,24 @@ def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ascending-index dot products of a 1-D float64 array x with an m-by-n y.
 
     Returns the length-n row ``x^T Y`` of its columns' dot products, each
-    summed in the same order.
+    summed in the same order.  ``len(x) != m`` or ``m == 0`` raises
+    ``ValueError``.
     """
-    return _weighted_row_sum_numpy(x, y)
+    m, n = y.shape
+    if x.shape != (m,) or m == 0:
+        raise ValueError(
+            f"dot needs x of length y.shape[0] >= 1, got x {x.shape} and y {y.shape}"
+        )
+    # Columns sum independently, so column chunks carry nothing between them.
+    width = max(1, _MATMUL_CHUNK // m)
+    terms = np.empty((m, min(width, n)), order="F")
+    out = np.empty(n)
+    for lo in range(0, n, width):
+        chunk = y[:, lo : lo + width]
+        out[lo : lo + width] = _weighted_row_sum_numpy(
+            x, chunk, terms[:, : chunk.shape[1]]
+        )
+    return out
 
 
 def vec_norm(x: np.ndarray) -> float:

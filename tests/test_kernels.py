@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -404,9 +405,12 @@ def _dot_operands(kind, height, width):
 
 @pytest.mark.parametrize("kind", ["gaussian", "cancelling", "negative-zero"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("width", [1, 2, 7, 8, 17])
+# Widths 1-17 take heights around MATMUL_CHUNK // width, where the columns
+# fill one chunk of terms or split into two.  Width 162 takes heights
+# 201-203, where it is MATMUL_CHUNK // height - 1, + 0 and + 1 (chunks of
+# 163, 162 and 161 columns), and width 16384 takes a one-row y at height 1.
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 17, 162, MATMUL_CHUNK // 2])
 def test_dot_of_a_matrix_is_the_row_of_column_dots(kind, offset, width):
-    # Heights around one chunk of terms: one chunk, and a carried sum.
     height = MATMUL_CHUNK // width + offset
     x, y = _dot_operands(kind, height, width)
     row = kernels.dot(x, y)
@@ -414,6 +418,63 @@ def test_dot_of_a_matrix_is_the_row_of_column_dots(kind, offset, width):
     expected = np.array([_dot_py(x, y[:, j]) for j in range(width)])
     assert row.tobytes() == expected.tobytes()
     assert kernels.dot(x, y[:, :1]).tobytes() == expected[:1].tobytes()
+
+
+def test_dot_rejects_x_and_y_of_different_or_zero_heights():
+    y = np.arange(12.0).reshape(4, 3)
+    assert kernels.dot(np.ones(4), y).tolist() == [18.0, 22.0, 26.0]
+    for x_shape, rows in [((3,), y), ((5,), y), ((4, 1), y), ((0,), y[:0])]:
+        message = f"got x {x_shape} and y {rows.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernels.dot(np.ones(x_shape), rows)
+
+
+def _subtract_down_columns_py(terms):
+    out = np.empty(terms.shape[1])
+    for col in range(terms.shape[1]):
+        acc = terms[0, col]
+        for i in range(1, terms.shape[0]):
+            acc -= terms[i, col]
+        out[col] = acc
+    return out
+
+
+def _subtract_reduce_columns():
+    # A cancelling column, stored as _weighted_row_sum_numpy stores it (t0,
+    # then the negated terms -1): one row at a time drops every one.  And
+    # the columns of every sign pattern of three zeros followed by +0.0,
+    # whose result is -0.0 only for -0.0, +0.0, +0.0, +0.0 in that order.
+    cancel = -_cancelling_vector(1000)
+    cancel[0] = 2.0**53
+    signs = (0.0, -0.0)
+    zeros = [[a, b, c, 0.0] for a in signs for b in signs for c in signs]
+    return {
+        "cancelling": np.asfortranarray(np.tile(cancel[:, None], (1, 3))),
+        "signed-zeros": np.asfortranarray(np.array(zeros).T),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cancelling", "signed-zeros"])
+def test_subtract_reduce_runs_down_a_column_one_row_at_a_time(kind):
+    # _weighted_row_sum_numpy sums each column with np.subtract.reduce down
+    # contiguous memory and relies on numpy subtracting one row at a time,
+    # seeded with the first.  A numpy that pairs or vectorises this reduce
+    # fails here, by name, before any digest does.
+    terms = _subtract_reduce_columns()[kind]
+    assert terms.flags.f_contiguous
+    got = np.subtract.reduce(terms, axis=0)
+    expected = _subtract_down_columns_py(terms)
+    assert got.tobytes() == expected.tobytes(), (
+        "np.subtract.reduce no longer subtracts down a column one row at a "
+        "time, so kernels._weighted_row_sum_numpy is not the ascending sum"
+    )
+    # Subtracting the pairwise sum of the later rows differs from it.
+    paired = terms[0] - np.sum(terms[1:], axis=0)
+    if kind == "cancelling":
+        assert np.all(expected == 2.0**53) and np.all(paired != expected)
+    else:
+        assert np.signbit(expected).tolist() == [False] * 4 + [True] + [False] * 3
+        assert np.any(np.signbit(paired) != np.signbit(expected))
 
 
 def _assert_householder_matches_scalar_source(b):
@@ -431,10 +492,10 @@ def _assert_householder_matches_scalar_source(b):
     assert r3.tobytes() == r1.tobytes()
 
 
-# Panel heights around 256 and 512 rows: a 128-wide reflector product
-# (1x128 output) sums chunks of 256 rows.
-ROW_CHUNK = MATMUL_CHUNK // 128
-REDUCE_MIN_SIZE = kernels._REDUCE_MIN_SIZE
+# Tall panels and row sums, 255 to 513 rows: each column of a reflector
+# product subtracts hundreds of terms in one reduce, and every multiply
+# runs unbuffered.
+TALL = 256
 
 
 @pytest.mark.parametrize(
@@ -445,13 +506,13 @@ REDUCE_MIN_SIZE = kernels._REDUCE_MIN_SIZE
         (50, 1),
         (12, 12),
         (1, 1),
-        (ROW_CHUNK - 1, 3),
-        (ROW_CHUNK, 3),
-        (ROW_CHUNK + 1, 3),
-        (2 * ROW_CHUNK + 1, 3),
-        (2 * ROW_CHUNK + 1, 16),
+        (TALL - 1, 3),
+        (TALL, 3),
+        (TALL + 1, 3),
+        (2 * TALL + 1, 3),
+        (2 * TALL + 1, 16),
         (40, 32),
-        (ROW_CHUNK + 1, 9),
+        (TALL + 1, 9),
         # Trailing blocks of 63-66 columns, whose column height m - j falls
         # through _UNBUFFERED_MIN = 64 in the first steps.
         (65, 63),
@@ -492,8 +553,9 @@ def test_householder_qr_rejects_a_wide_panel(rng):
 def test_householder_numpy_keeps_row_order_across_chunks():
     # The first reflector is all ones below its head and column 1 is one huge
     # entry followed by ones, so the reflector product for column 1 is a
-    # cancelling sum over three chunks of a 2-wide product: only a strictly
-    # ascending row sum, carried across chunks, drops every one.
+    # cancelling sum down 32769 rows, more than one product chunk holds
+    # (MATMUL_CHUNK entries): only a strictly ascending row sum drops every
+    # one.
     m = 2 * (MATMUL_CHUNK // 2) + 1
     b = np.ones((m, 2), order="F")
     b[:, 1] = _cancelling_vector(m)
@@ -502,30 +564,35 @@ def test_householder_numpy_keeps_row_order_across_chunks():
 
 def _row_sum_cases(rng, height, width):
     # Gaussian products; every column a cancelling sum (one huge product
-    # then ones, which only a strictly ascending sum drops); and products
-    # that are all -0.0, whose sum is -0.0 only from the exact identity.
+    # then ones, which only a strictly ascending sum drops); products that
+    # are all -0.0, whose sum is -0.0 only when seeded with the first term;
+    # and a first term x[0] * y[0] of +0.0 or -0.0 before zero products of
+    # the other sign, whose sum shows a first term taken with the wrong sign.
     signs = np.where(np.arange(height) % 2 == 0, 1.0, -1.0)
     cancel = np.tile(_cancelling_vector(height)[:, None], (1, width))
+    head = np.zeros((height, width))
+    head[0] = 1.0
     return [
         (rng.standard_normal(height), rng.standard_normal((height, width))),
         (np.ones(height), cancel * 2.0 ** np.arange(width)),
+        (np.r_[0.0, -np.ones(height - 1)], head),
+        (np.r_[-0.0, np.ones(height - 1)], head),
         (signs, np.tile(-0.0 * signs[:, None], (1, width))),
     ]
 
 
 @pytest.mark.parametrize("order", "FC")
+# Heights 63 and 64 form their terms buffered and unbuffered.
 @pytest.mark.parametrize(
     "height",
-    [1, 8, 9, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1],
+    [1, 8, 9, 63, 64, TALL - 1, TALL, TALL + 1, 2 * TALL + 1],
 )
-@pytest.mark.parametrize(
-    "width", [1, 2, 3, REDUCE_MIN_SIZE - 1, REDUCE_MIN_SIZE, 17]
-)
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 17])
 def test_weighted_row_sum_numpy_matches_scalar_source(rng, width, height, order):
     for x, y in _row_sum_cases(rng, height, width):
         y = np.array(y, order=order)
         expected = _weighted_row_sum_py(x, y)
-        got = kernels._weighted_row_sum_numpy(x, y)
+        got = kernels._weighted_row_sum_numpy(x, y, np.empty(y.shape, order="F"))
         assert got.shape == (width,)
         assert got.tobytes() == expected.tobytes()
     assert np.all(np.signbit(got)) and np.all(got == 0.0)
@@ -534,7 +601,7 @@ def test_weighted_row_sum_numpy_matches_scalar_source(rng, width, height, order)
 def test_weighted_row_sum_cancelling_case_shows_the_order():
     # The cancelling columns above check the order only if a pairwise sum,
     # numpy's sum down a contiguous column, gets them wrong.
-    height = 2 * ROW_CHUNK + 1
+    height = 2 * TALL + 1
     x, y = _row_sum_cases(np.random.default_rng(0), height, 17)[1]
     expected = _weighted_row_sum_py(x, y)
     assert np.all(expected == 2.0 ** (53 + np.arange(17)))
@@ -564,8 +631,7 @@ _ENTRIES = st.one_of(
 @st.composite
 def _panels(draw):
     m = draw(st.integers(1, 40))
-    # Widths up to 12 reach both the accumulate and the reduce row sums.
-    p = draw(st.integers(1, min(m, REDUCE_MIN_SIZE + 4)))
+    p = draw(st.integers(1, min(m, 12)))
     b = draw(hnp.arrays(np.float64, (m, p), elements=_ENTRIES))
     return np.array(b, order=draw(st.sampled_from("CF")))
 
@@ -622,8 +688,8 @@ def test_matmul_matches_scalar_source_property(operands):
 def _unbuffered_calls():
     # One call down each unbuffered path: a term buffer of 80-row outputs
     # from a strided u.T (copied row-major), rank-1 updates of 300-row
-    # columns, a 70-wide reflector row, 66-wide Householder updates, and a
-    # bcgs2 whose last projection has 64 rows.
+    # columns, 66-wide Householder reflectors, and a bcgs2 whose last
+    # projection has 64 rows; and a 70-wide dot, which keeps the buffer.
     rng = np.random.default_rng(5)
     u = _fortran(rng, (300, 80))
     b = _fortran(rng, (300, 16))
